@@ -12,14 +12,24 @@
 
 let header_bytes = 4
 
+(* The prefix is untrusted on the read side: a corrupt one must not make
+   the reader allocate whatever it claims (up to 2 GiB).  No message this
+   repository sends comes near the cap; the writer refuses to produce a
+   frame the reader would reject. *)
+let max_frame_bytes = 1 lsl 28
+
 let rec write_all fd b pos len =
   if len > 0 then begin
-    let n = Unix.write fd b pos len in
+    let n =
+      Lbc_storage.Dev.eintr_retry (fun () -> Unix.write fd b pos len)
+    in
     write_all fd b (pos + n) (len - n)
   end
 
 let write fd (iov : Lbc_util.Slice.t list) =
   let len = Lbc_util.Slice.iov_length iov in
+  if len > max_frame_bytes then
+    invalid_arg (Printf.sprintf "Frame.write: %d-byte frame over the cap" len);
   let hdr = Bytes.create header_bytes in
   Bytes.set_int32_le hdr 0 (Int32.of_int len);
   write_all fd hdr 0 header_bytes;
@@ -38,7 +48,10 @@ let read_exact fd b pos len ~eof_ok =
   let got = ref 0 in
   (try
      while !got < len do
-       let n = Unix.read fd b (pos + !got) (len - !got) in
+       let n =
+         Lbc_storage.Dev.eintr_retry (fun () ->
+             Unix.read fd b (pos + !got) (len - !got))
+       in
        if n = 0 then
          if !got = 0 && eof_ok then raise Exit
          else
@@ -54,7 +67,8 @@ let read fd =
   if not (read_exact fd hdr 0 header_bytes ~eof_ok:true) then None
   else begin
     let len = Int32.to_int (Bytes.get_int32_le hdr 0) in
-    if len < 0 then raise (Torn (Printf.sprintf "negative frame length %d" len));
+    if len < 0 || len > max_frame_bytes then
+      raise (Torn (Printf.sprintf "frame length %d out of range" len));
     let body = Bytes.create len in
     ignore (read_exact fd body 0 len ~eof_ok:false : bool);
     Some body

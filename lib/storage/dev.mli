@@ -37,6 +37,11 @@ val close : t -> unit
 (** Release the file descriptor of a {!create_file} device (no-op for
     in-memory devices). *)
 
+val eintr_retry : (unit -> 'a) -> 'a
+(** [eintr_retry k] runs the syscall thunk [k], reissuing it while it
+    fails with [EINTR] (a signal, e.g. a profiler's timer, interrupted
+    it).  Shared by every blocking read/write on a real descriptor. *)
+
 val is_file : t -> bool
 
 val name : t -> string

@@ -18,14 +18,9 @@ let u16 w v =
   u8 w v;
   u8 w (v lsr 8)
 
-let u32 w v =
-  u16 w v;
-  u16 w (v lsr 16)
-
-let u64 w v =
-  for i = 0 to 7 do
-    u8 w (Int64.to_int (Int64.shift_right_logical v (8 * i)))
-  done
+let u32 = Slice.Arena.add_int32_le
+let u64 = Slice.Arena.add_int64_le
+let zeros = Slice.Arena.add_zeros
 
 let int_as_u64 w v =
   if v < 0 then invalid_arg "Codec.int_as_u64: negative";
@@ -59,31 +54,36 @@ let patch_u32 w ~at v =
 (* Reading.  A reader walks either one byte range or a gather list of
    slices; multi-byte primitives work across segment boundaries. *)
 
+(* Invariant: [rest_len = Slice.iov_length rest], so [remaining], and
+   with it every bounds check, is O(1) however many segments the gather
+   list has.  Summing [rest] per check would make a decode
+   O(bytes x segments). *)
 type reader = {
   mutable buf : Bytes.t;
   mutable pos : int;
   mutable limit : int;
   mutable rest : Slice.t list;  (* segments not yet entered *)
+  mutable rest_len : int;
 }
 
 let reader ?(pos = 0) ?len buf =
   let len = match len with Some l -> l | None -> Bytes.length buf - pos in
   if pos < 0 || len < 0 || pos + len > Bytes.length buf then
     invalid_arg "Codec.reader";
-  { buf; pos; limit = pos + len; rest = [] }
+  { buf; pos; limit = pos + len; rest = []; rest_len = 0 }
 
 let reader_of_slice s =
   { buf = Slice.base s; pos = Slice.pos s; limit = Slice.pos s + Slice.length s;
-    rest = [] }
+    rest = []; rest_len = 0 }
 
 let reader_of_slices = function
-  | [] -> { buf = Bytes.create 0; pos = 0; limit = 0; rest = [] }
+  | [] -> reader (Bytes.create 0)
   | s :: rest ->
       let r = reader_of_slice s in
-      { r with rest }
+      { r with rest; rest_len = Slice.iov_length rest }
 
 let pos r = r.pos
-let remaining r = r.limit - r.pos + Slice.iov_length r.rest
+let remaining r = r.limit - r.pos + r.rest_len
 
 (* Enter the next non-empty segment once the current one is exhausted. *)
 let rec advance r =
@@ -95,6 +95,7 @@ let rec advance r =
         r.pos <- Slice.pos s;
         r.limit <- Slice.pos s + Slice.length s;
         r.rest <- tl;
+        r.rest_len <- r.rest_len - Slice.length s;
         advance r
 
 let need r n what = if remaining r < n then raise (Truncated what)
@@ -111,17 +112,35 @@ let get_u16 r =
   let hi = get_u8 r in
   lo lor (hi lsl 8)
 
+(* Fixed-width reads take one word when it lies in the current
+   segment and fall back to the byte path when it straddles two or the
+   input ends inside it (the byte path then raises [Truncated]). *)
 let get_u32 r =
-  let lo = get_u16 r in
-  let hi = get_u16 r in
-  lo lor (hi lsl 16)
+  advance r;
+  if r.limit - r.pos >= 4 then begin
+    let v = Int32.to_int (Bytes.get_int32_le r.buf r.pos) land 0xFFFF_FFFF in
+    r.pos <- r.pos + 4;
+    v
+  end
+  else
+    let lo = get_u16 r in
+    let hi = get_u16 r in
+    lo lor (hi lsl 16)
 
 let get_u64 r =
-  let v = ref 0L in
-  for i = 0 to 7 do
-    v := Int64.logor !v (Int64.shift_left (Int64.of_int (get_u8 r)) (8 * i))
-  done;
-  !v
+  advance r;
+  if r.limit - r.pos >= 8 then begin
+    let v = Bytes.get_int64_le r.buf r.pos in
+    r.pos <- r.pos + 8;
+    v
+  end
+  else begin
+    let v = ref 0L in
+    for i = 0 to 7 do
+      v := Int64.logor !v (Int64.shift_left (Int64.of_int (get_u8 r)) (8 * i))
+    done;
+    !v
+  end
 
 let get_int_as_u64 r =
   let v = get_u64 r in

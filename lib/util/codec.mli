@@ -36,8 +36,11 @@ val slice_sub : writer -> pos:int -> len:int -> Slice.t
 val u8 : writer -> int -> unit
 val u16 : writer -> int -> unit
 val u32 : writer -> int -> unit
-
 val u64 : writer -> int64 -> unit
+
+val zeros : writer -> int -> unit
+(** [zeros w n] writes [n] zero bytes (one fill, not [n] writes). *)
+
 val int_as_u64 : writer -> int -> unit
 (** Native non-negative int written as 8 bytes. *)
 
@@ -72,6 +75,7 @@ val pos : reader -> int
     for single-buffer readers (created with {!reader}). *)
 
 val remaining : reader -> int
+(** Bytes left across all segments; O(1). *)
 
 val get_u8 : reader -> int
 val get_u16 : reader -> int

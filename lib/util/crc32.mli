@@ -1,6 +1,7 @@
 (** CRC-32 (IEEE 802.3 polynomial, reflected), used to protect log records
-    against partial or torn writes.  The implementation is table-driven and
-    allocation-free on the update path. *)
+    against partial or torn writes.  The implementation is table-driven
+    (slicing-by-8: eight bytes per step) and allocates only the returned
+    [int32] on the update path. *)
 
 type t = int32
 (** A running CRC value. *)

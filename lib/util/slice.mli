@@ -124,6 +124,15 @@ module Arena : sig
       with {!contents} must not be used afterwards. *)
 
   val add_char : t -> char -> unit
+
+  val add_int32_le : t -> int -> unit
+  (** The low 32 bits of the int, little-endian, as one word store. *)
+
+  val add_int64_le : t -> int64 -> unit
+
+  val add_zeros : t -> int -> unit
+  (** [add_zeros a n] appends [n] zero bytes with one fill. *)
+
   val add_bytes : t -> Bytes.t -> pos:int -> len:int -> unit
   val add_string : t -> string -> unit
   val add_slice : t -> slice -> unit

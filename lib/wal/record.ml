@@ -91,17 +91,10 @@ let encode_into ?(range_header_size = rvm_disk_header_size) w t =
           Codec.u32 w r.region;
           Codec.int_as_u64 w r.offset;
           Codec.int_as_u64 w (Bytes.length r.data);
-          for _ = 1 to pad do
-            Codec.u8 w 0
-          done;
+          Codec.zeros w pad;
           Codec.raw w r.data ~pos:0 ~len:(Bytes.length r.data))
         t.ranges;
       seal w ~start
-
-let encode ?range_header_size t =
-  let w = Codec.writer ~capacity:1024 () in
-  encode_into ?range_header_size w t;
-  Codec.contents w
 
 let locks_size t =
   List.fold_left
@@ -133,6 +126,13 @@ let encoded_size ?(range_header_size = rvm_disk_header_size) t =
       4 + 4 + 2 + 8 + 2 + locks_size t
       + Codec.varint_size (List.length t.ranges)
       + ranges + 4
+
+(* Sized exactly up front, so a large record does not grow its arena
+   through repeated doubling copies. *)
+let encode ?range_header_size t =
+  let w = Codec.writer ~capacity:(encoded_size ?range_header_size t) () in
+  encode_into ?range_header_size w t;
+  Codec.contents w
 
 (* Control records share the log's framing (magic, total length, CRC)
    but carry no transaction: they bracket a fuzzy checkpoint so recovery
@@ -173,14 +173,7 @@ let encode_ctrl_into w c =
           Codec.varint w (List.length e.offsets);
           List.iter (Codec.varint w) e.offsets)
         c.entries);
-  let total = Codec.length w - start + 4 in
-  Codec.patch_u32 w ~at:(start + 4) total;
-  let covered = Codec.slice_sub w ~pos:start ~len:(total - 4) in
-  let crc =
-    Crc32.bytes (Slice.base covered) ~pos:(Slice.pos covered)
-      ~len:(Slice.length covered)
-  in
-  Codec.u32 w (Int32.to_int crc land 0xFFFFFFFF)
+  seal w ~start
 
 let encode_ctrl c =
   let w = Codec.writer ~capacity:ctrl_size () in
@@ -226,6 +219,18 @@ let all_zero s ~pos =
   let rec loop i = i >= n || (Slice.get s i = '\000' && loop (i + 1)) in
   loop pos
 
+(* The trailing CRC of the [total]-byte record at [pos] matches the
+   bytes before it. *)
+let crc_matches s ~pos ~total =
+  let stored =
+    Codec.get_u32
+      (Codec.reader_of_slice (Slice.sub s ~pos:(pos + total - 4) ~len:4))
+  in
+  let crc =
+    Crc32.bytes (Slice.base s) ~pos:(Slice.pos s + pos) ~len:(total - 4)
+  in
+  Int32.to_int crc land 0xFFFFFFFF = stored
+
 let decode_slice s ~pos =
   let len = Slice.length s in
   if pos >= len then End
@@ -238,19 +243,7 @@ let decode_slice s ~pos =
       if total < ctrl_size then Torn "bad ctrl length"
       else if pos + total > len then Torn "truncated record"
       else begin
-        let stored_crc =
-          let cr =
-            Codec.reader_of_slice (Slice.sub s ~pos:(pos + total - 4) ~len:4)
-          in
-          Codec.get_u32 cr
-        in
-        let crc =
-          Int32.to_int
-            (Crc32.bytes (Slice.base s) ~pos:(Slice.pos s + pos)
-               ~len:(total - 4))
-          land 0xFFFFFFFF
-        in
-        if crc <> stored_crc then Torn "bad crc"
+        if not (crc_matches s ~pos ~total) then Torn "bad crc"
         else begin
           try
             let body =
@@ -292,16 +285,7 @@ let decode_slice s ~pos =
       if total < 12 then Torn "bad length"
       else if pos + total > len then Torn "truncated record"
       else begin
-        let stored_crc =
-          let cr = Codec.reader_of_slice (Slice.sub s ~pos:(pos + total - 4) ~len:4) in
-          Codec.get_u32 cr
-        in
-        let crc =
-          Int32.to_int
-            (Crc32.bytes (Slice.base s) ~pos:(Slice.pos s + pos) ~len:(total - 4))
-          land 0xFFFFFFFF
-        in
-        if crc <> stored_crc then Torn "bad crc"
+        if not (crc_matches s ~pos ~total) then Torn "bad crc"
         else begin
           try
             let body =

@@ -304,6 +304,39 @@ let test_flight_dump_two_domains () =
         merged);
   Sys.remove path
 
+(* Regression: the length prefix is untrusted.  A corrupt prefix used
+   to size a [Bytes.create] directly, so 0x7FFFFFFF allocated 2 GiB
+   before the read noticed anything was wrong. *)
+let test_frame_rejects_huge_prefix () =
+  let r, w = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  let hdr = Bytes.create Frame.header_bytes in
+  Bytes.set_int32_le hdr 0 0x7FFFFFFFl;
+  ignore (Unix.write w hdr 0 Frame.header_bytes : int);
+  Unix.close w;
+  let before = Gc.allocated_bytes () in
+  (match Frame.read r with
+  | _ -> Alcotest.fail "a 0x7FFFFFFF prefix must not yield a frame"
+  | exception Frame.Torn _ -> ());
+  let grew = Gc.allocated_bytes () -. before in
+  Unix.close r;
+  if grew > 1_048_576. then
+    Alcotest.failf "rejecting the prefix allocated %.0f bytes" grew
+
+let test_frame_write_refuses_oversize () =
+  (* One 1 MiB window repeated: an over-cap iovec without the memory. *)
+  let mib = Slice.of_bytes (Bytes.create (1 lsl 20)) in
+  let iov = List.init ((Frame.max_frame_bytes lsr 20) + 1) (fun _ -> mib) in
+  let r, w = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  (* Non-blocking, so a writer that does not refuse fails here instead
+     of blocking on a reader that never drains. *)
+  Unix.set_nonblock w;
+  (match Frame.write w iov with
+  | _ -> Alcotest.fail "an over-cap frame must be refused"
+  | exception Invalid_argument _ -> ());
+  Unix.close w;
+  Alcotest.(check bool) "nothing reached the stream" true (Frame.read r = None);
+  Unix.close r
+
 let test_real_rejects_sim_only () =
   let backend = real_backend () in
   Alcotest.check_raises "sched is sim-only"
@@ -334,6 +367,10 @@ let suites =
         Alcotest.test_case "codec roundtrip, all constructors" `Quick
           test_codec_roundtrip_all_constructors;
         QCheck_alcotest.to_alcotest prop_framing_matches_sim;
+        Alcotest.test_case "huge length prefix is torn, not allocated" `Quick
+          test_frame_rejects_huge_prefix;
+        Alcotest.test_case "writer refuses an over-cap frame" `Quick
+          test_frame_write_refuses_oversize;
       ] );
     ( "real-backend",
       [

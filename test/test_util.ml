@@ -36,6 +36,47 @@ let prop_crc_detects_flip =
       Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 0x5A));
       Crc32.string s <> Crc32.bytes b ~pos:0 ~len:(Bytes.length b))
 
+(* Byte-at-a-time reference, kept independent of the library's tables:
+   the bitwise definition of the reflected IEEE CRC. *)
+let crc_reference crc b ~pos ~len =
+  let c = ref (Int32.to_int crc land 0xFFFF_FFFF) in
+  for i = pos to pos + len - 1 do
+    c := !c lxor Char.code (Bytes.get b i);
+    for _ = 1 to 8 do
+      c := if !c land 1 <> 0 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+    done
+  done;
+  Int32.of_int !c
+
+(* Every start offset 0-7 (word alignment) and every length 0-70 (every
+   tail length after the 8-byte steps), from a random running CRC, and
+   the whole buffer fed through [update] in arbitrary pieces. *)
+let prop_crc_matches_reference =
+  QCheck.Test.make ~name:"slicing-by-8 = byte-at-a-time reference" ~count:200
+    QCheck.(
+      triple (string_of_size Gen.(78 -- 300)) int32 (small_list small_nat))
+    (fun (s, init, cuts) ->
+      let b = Bytes.of_string s in
+      let offsets_ok =
+        List.for_all
+          (fun pos ->
+            List.for_all
+              (fun len ->
+                Crc32.update init b ~pos ~len
+                = crc_reference init b ~pos ~len)
+              (List.init 71 Fun.id))
+          (List.init 8 Fun.id)
+      in
+      let n = Bytes.length b in
+      let points = List.sort_uniq compare (List.map (fun c -> c mod n) cuts) in
+      let chained, last =
+        List.fold_left
+          (fun (crc, at) p -> (Crc32.update crc b ~pos:at ~len:(p - at), p))
+          (Crc32.empty, 0) points
+      in
+      let chained = Crc32.update chained b ~pos:last ~len:(n - last) in
+      offsets_ok && chained = crc_reference Crc32.empty b ~pos:0 ~len:n)
+
 (* ------------------------------------------------------------------ *)
 (* Codec *)
 
@@ -91,6 +132,212 @@ let prop_u32_roundtrip =
       let w = Codec.writer () in
       Codec.u32 w n;
       Codec.get_u32 (Codec.reader (Codec.contents w)) = n)
+
+(* Cut [b] into consecutive segments of the given sizes (zero allowed;
+   whatever is left over goes last).  Each segment lives in its own
+   buffer behind junk bytes and before junk bytes, so a read past a
+   segment's window returns garbage instead of the right answer. *)
+let segments_of b cuts =
+  let junk n = Bytes.make n '\xA5' in
+  let window pos len =
+    let base = Bytes.cat (junk 3) (Bytes.cat (Bytes.sub b pos len) (junk 5)) in
+    Slice.of_bytes base ~pos:3 ~len
+  in
+  let n = Bytes.length b in
+  let rec go pos = function
+    | [] -> [ window pos (n - pos) ]
+    | c :: tl ->
+        let len = min c (n - pos) in
+        window pos len :: go (pos + len) tl
+  in
+  go 0 cuts
+
+(* u32/u64 values and a zero run, encoded after [lead] filler bytes and
+   read back from the contiguous bytes and from two segments split at
+   every position: with the word inside a segment (one-word read) and
+   straddling the boundary (byte fallback). *)
+let prop_fixed_width_roundtrip =
+  QCheck.Test.make ~name:"u32/u64/zeros inside and across segments" ~count:300
+    QCheck.(
+      quad (int_bound 7) (int_bound 0xFFFF_FFFF) int64 (int_bound 100))
+    (fun (lead, v32, v64, nz) ->
+      let w = Codec.writer ~capacity:1 () in
+      for i = 1 to lead do
+        Codec.u8 w i
+      done;
+      Codec.u32 w v32;
+      Codec.u64 w v64;
+      Codec.zeros w nz;
+      Codec.u8 w 0x5C;
+      let b = Codec.contents w in
+      let le n v =
+        String.init n (fun i ->
+            Char.chr
+              (Int64.to_int (Int64.shift_right_logical v (8 * i)) land 0xFF))
+      in
+      let expected =
+        String.init lead (fun i -> Char.chr (i + 1))
+        ^ le 4 (Int64.of_int v32) ^ le 8 v64 ^ String.make nz '\000' ^ "\x5C"
+      in
+      let decodes r =
+        for _ = 1 to lead do
+          ignore (Codec.get_u8 r)
+        done;
+        let u32 = Codec.get_u32 r in
+        let u64 = Codec.get_u64 r in
+        let z = Codec.get_raw r ~len:nz in
+        u32 = v32 && Int64.equal u64 v64
+        && Bytes.for_all (Char.equal '\000') z
+        && Codec.get_u8 r = 0x5C
+        && Codec.remaining r = 0
+      in
+      Bytes.to_string b = expected
+      && decodes (Codec.reader b)
+      && List.for_all
+           (fun at -> decodes (Codec.reader_of_slices (segments_of b [ at ])))
+           (List.init (Bytes.length b + 1) Fun.id))
+
+type field =
+  | U8 of int
+  | U16 of int
+  | U32 of int
+  | U64 of int64
+  | Int_u64 of int
+  | Varint of int
+  | Raw of string
+  | Slice_of of string
+  | Skip of string
+
+let gen_field =
+  QCheck.Gen.(
+    oneof
+      [
+        map (fun v -> U8 v) (int_bound 0xFF);
+        map (fun v -> U16 v) (int_bound 0xFFFF);
+        map (fun v -> U32 v) (int_bound 0xFFFF_FFFF);
+        map (fun v -> U64 v) ui64;
+        map (fun v -> Int_u64 v) (oneof [ small_nat; int_bound max_int ]);
+        map (fun v -> Varint v) (oneof [ small_nat; int_bound max_int ]);
+        map (fun s -> Raw s) (string_size (0 -- 20));
+        map (fun s -> Slice_of s) (string_size (0 -- 20));
+        map (fun s -> Skip s) (string_size (0 -- 20));
+      ])
+
+let put w = function
+  | U8 v -> Codec.u8 w v
+  | U16 v -> Codec.u16 w v
+  | U32 v -> Codec.u32 w v
+  | U64 v -> Codec.u64 w v
+  | Int_u64 v -> Codec.int_as_u64 w v
+  | Varint v -> Codec.varint w v
+  | Raw s | Slice_of s | Skip s -> Codec.raw_string w s
+
+(* Decode one field, rendered so contiguous and segmented results
+   compare with (=). *)
+let take r = function
+  | U8 _ -> string_of_int (Codec.get_u8 r)
+  | U16 _ -> string_of_int (Codec.get_u16 r)
+  | U32 _ -> string_of_int (Codec.get_u32 r)
+  | U64 _ -> Int64.to_string (Codec.get_u64 r)
+  | Int_u64 _ -> string_of_int (Codec.get_int_as_u64 r)
+  | Varint _ -> string_of_int (Codec.get_varint r)
+  | Raw s -> Bytes.to_string (Codec.get_raw r ~len:(String.length s))
+  | Slice_of s -> Slice.to_string (Codec.get_slice r ~len:(String.length s))
+  | Skip s ->
+      Codec.skip r (String.length s);
+      s
+
+let written = function
+  | U8 v | U16 v | U32 v | Int_u64 v | Varint v -> string_of_int v
+  | U64 v -> Int64.to_string v
+  | Raw s | Slice_of s | Skip s -> s
+
+let width = function
+  | U8 _ -> 1
+  | U16 _ -> 2
+  | U32 _ -> 4
+  | U64 _ | Int_u64 _ -> 8
+  | Varint v -> Codec.varint_size v
+  | Raw s | Slice_of s | Skip s -> String.length s
+
+(* A random message, possibly cut short, read contiguously and from a
+   random gather list (empty segments included): every call returns the
+   written value or both raise the same [Truncated] at the same field,
+   and [remaining] is exact after each call. *)
+let prop_segmented_reader_matches_contiguous =
+  QCheck.Test.make ~name:"segmented reader = contiguous reader" ~count:500
+    QCheck.(
+      triple
+        (make Gen.(list_size (1 -- 30) gen_field))
+        (list small_nat)
+        (make Gen.(opt nat)))
+    (fun (fields, cuts, short) ->
+      let w = Codec.writer () in
+      List.iter (put w) fields;
+      let full = Codec.contents w in
+      let b =
+        match short with
+        | None -> full
+        | Some k -> Bytes.sub full 0 (k mod (Bytes.length full + 1))
+      in
+      let flat = Codec.reader b in
+      let cuts = List.map (fun c -> c mod 9) cuts in
+      let seg = Codec.reader_of_slices (segments_of b cuts) in
+      let result r f = try Ok (take r f) with Codec.Truncated m -> Error m in
+      let rec walk consumed = function
+        | [] -> short <> None || Codec.remaining seg = 0
+        | f :: tl -> (
+            let a = result flat f in
+            let s = result seg f in
+            a = s
+            && Codec.remaining seg = Codec.remaining flat
+            &&
+            match a with
+            | Error _ -> true
+            | Ok v ->
+                let consumed = consumed + width f in
+                v = written f
+                && Codec.remaining seg = Bytes.length b - consumed
+                && walk consumed tl)
+      in
+      walk 0 fields)
+
+let test_segmented_reader_scales_linearly () =
+  (* One message of [n] records, one segment per record — the shape of
+     the sim's gather-list delivery.  A bounds check that re-sums the
+     unentered segments makes this quadratic: 10x the records cost
+     ~100x.  Linear is ~10x; the bound leaves room for a noisy host. *)
+  let message n =
+    List.init n (fun i ->
+        let w = Codec.writer ~capacity:32 () in
+        Codec.u32 w i;
+        Codec.varint w (i * 7);
+        Codec.raw_string w (String.make 16 'x');
+        Codec.slice w)
+  in
+  let decode iov =
+    let r = Codec.reader_of_slices iov in
+    while Codec.remaining r > 0 do
+      ignore (Codec.get_u32 r);
+      ignore (Codec.get_varint r);
+      ignore (Codec.get_slice r ~len:16)
+    done
+  in
+  let median_s iov =
+    let runs =
+      List.init 5 (fun _ ->
+          let t0 = Unix.gettimeofday () in
+          decode iov;
+          Unix.gettimeofday () -. t0)
+    in
+    List.nth (List.sort compare runs) 2
+  in
+  let n = 5_000 in
+  let small = median_s (message n) and large = median_s (message (10 * n)) in
+  let ratio = large /. Float.max small 1e-6 in
+  if ratio > 30. then
+    Alcotest.failf "10x segments cost %.1fx (%.2f ms vs %.2f ms)" ratio
+      (large *. 1e3) (small *. 1e3)
 
 (* ------------------------------------------------------------------ *)
 (* Slice *)
@@ -364,6 +611,7 @@ let suites =
         Alcotest.test_case "incremental" `Quick test_crc_incremental;
         Alcotest.test_case "bounds" `Quick test_crc_bounds;
         qtest prop_crc_detects_flip;
+        qtest prop_crc_matches_reference;
       ] );
     ( "util.codec",
       [
@@ -376,6 +624,10 @@ let suites =
           test_reader_of_slices_spans_segments;
         qtest prop_varint_roundtrip;
         qtest prop_u32_roundtrip;
+        qtest prop_fixed_width_roundtrip;
+        qtest prop_segmented_reader_matches_contiguous;
+        Alcotest.test_case "segmented reader is linear in segments" `Quick
+          test_segmented_reader_scales_linearly;
       ] );
     ( "util.slice",
       [
