@@ -135,13 +135,14 @@ let run traversal config_name nodes protocol lazy_mode costs log_mode_name
           let txn = Lbc_dsm.Backend.Dtxn.begin_ node ~kind:backend in
           Lbc_dsm.Backend.Dtxn.acquire txn Runner.lock;
           let mem =
+            let module Dtxn = Lbc_dsm.Backend.Dtxn in
+            let region = Runner.region in
             {
               Lbc_pheap.Heap.read =
-                (fun ~offset ~len ->
-                  Lbc_dsm.Backend.Dtxn.read txn ~region:Runner.region ~offset ~len);
-              write =
-                (fun ~offset b ->
-                  Lbc_dsm.Backend.Dtxn.write txn ~region:Runner.region ~offset b);
+                (fun ~offset ~len -> Dtxn.read txn ~region ~offset ~len);
+              write = (fun ~offset b -> Dtxn.write txn ~region ~offset b);
+              get_u64 = (fun ~offset -> Dtxn.get_u64 txn ~region ~offset);
+              set_u64 = (fun ~offset v -> Dtxn.set_u64 txn ~region ~offset v);
             }
           in
           let db = Database.attach_mem schema mem ~size:(Schema.region_size schema) in

@@ -8,15 +8,17 @@ let build (c : Schema.config) =
   let image = Bytes.make (Schema.region_size c) '\000' in
   let heap = Heap.of_bytes image in
   let rng = Rng.create c.Schema.seed in
-  let assembly_layout = Schema.assembly c in
   let header = Heap.alloc heap (Layout.size Schema.header) in
-  let set_header name v =
-    Heap.set_int heap (header + Layout.offset Schema.header name) v
-  in
+  let set_header off v = Heap.set_int heap (header + off) v in
+  (* The clusters are built through the database handle, and attaching
+     checks the magic: write it first. *)
+  Heap.set_u64 heap (header + Schema.Header.db_magic) Schema.db_magic;
+  let db = Database.attach_bytes c image in
+  let f = Database.fields db in
   (* Design library: one cluster per composite part. *)
   let composites =
     Array.init c.Schema.num_composites (fun ci ->
-        Clusters.build_one heap c ~rng ~id:ci)
+        Clusters.build_one db ~rng ~id:ci)
   in
   (* Assembly hierarchy: a complete tree whose leaves (base assemblies)
      reference random composite parts.  The paper's Table 3 shows all 500
@@ -36,22 +38,23 @@ let build (c : Schema.config) =
   in
   let next_ref = ref 0 in
   let next_assembly_id = ref 0 in
+  let assembly_size = Layout.size (Schema.assembly c) in
   let rec build_assembly level =
-    let a = Heap.alloc heap (Layout.size assembly_layout) in
-    let seta name v = Heap.set_field heap assembly_layout ~addr:a name v in
-    seta "id" !next_assembly_id;
+    let a = Heap.alloc heap assembly_size in
+    let seta off v = Heap.set_int heap (a + off) v in
+    seta f.Schema.asm_id !next_assembly_id;
     incr next_assembly_id;
     if level = c.Schema.assembly_levels then begin
-      seta "kind" 1;
+      seta f.Schema.asm_kind 1;
       for i = 0 to c.Schema.composites_per_base - 1 do
-        seta (Schema.child_slot i) refs.(!next_ref);
+        seta f.Schema.child_slot.(i) refs.(!next_ref);
         incr next_ref
       done
     end
     else begin
-      seta "kind" 0;
+      seta f.Schema.asm_kind 0;
       for i = 0 to c.Schema.assembly_fanout - 1 do
-        seta (Schema.child_slot i) (build_assembly (level + 1))
+        seta f.Schema.child_slot.(i) (build_assembly (level + 1))
       done
     end;
     a
@@ -61,14 +64,11 @@ let build (c : Schema.config) =
   let capacity = 2 * c.Schema.num_composites in
   let dir = Heap.alloc heap (8 * capacity) in
   Array.iteri (fun i comp -> Heap.set_int heap (dir + (8 * i)) comp) composites;
-  set_header "root_assembly" root;
-  set_header "n_composites" c.Schema.num_composites;
-  set_header "composite_dir" dir;
-  set_header "dir_capacity" capacity;
-  Heap.set_u64 heap (header + Layout.offset Schema.header "db_magic")
-    Schema.db_magic;
+  set_header Schema.Header.root_assembly root;
+  set_header Schema.Header.n_composites c.Schema.num_composites;
+  set_header Schema.Header.composite_dir dir;
+  set_header Schema.Header.dir_capacity capacity;
   (* Part index over every atomic part, ordered by build date (read
      indirectly through the part). *)
-  let db = Database.attach_bytes c image in
   Array.iter (fun comp -> Clusters.index_parts db ~comp) composites;
   image

@@ -1,9 +1,11 @@
 open Lbc_pheap
 open Lbc_util
 
-let build_one heap (c : Schema.config) ~rng ~id:ci =
-  let composite_layout = Schema.composite_part c in
-  let comp = Heap.alloc heap (Layout.size composite_layout) in
+let build_one db ~rng ~id:ci =
+  let heap = Database.heap db and c = Database.config db in
+  let f = Database.fields db in
+  let set addr off v = Heap.set_int heap (addr + off) v in
+  let comp = Heap.alloc heap (Layout.size (Schema.composite_part c)) in
   let atomics =
     Array.init c.Schema.atomics_per_composite (fun _ ->
         Heap.alloc heap (Layout.size Schema.atomic_part))
@@ -11,12 +13,11 @@ let build_one heap (c : Schema.config) ~rng ~id:ci =
   Array.iteri
     (fun ai part ->
       let id = (ci * c.Schema.atomics_per_composite) + ai in
-      let setf name v = Heap.set_field heap Schema.atomic_part ~addr:part name v in
-      setf "id" id;
-      setf "date" (Rng.int rng c.Schema.date_range);
-      setf "x" (Rng.int rng 10_000);
-      setf "y" (Rng.int rng 10_000);
-      setf "doc_id" id)
+      set part Schema.Atomic.id id;
+      set part Schema.Atomic.date (Rng.int rng c.Schema.date_range);
+      set part Schema.Atomic.x (Rng.int rng 10_000);
+      set part Schema.Atomic.y (Rng.int rng 10_000);
+      set part Schema.Atomic.doc_id id)
     atomics;
   (* Connection objects: the first out-edge of each atomic part forms a
      ring so the graph is connected; the rest are random within the
@@ -29,28 +30,27 @@ let build_one heap (c : Schema.config) ~rng ~id:ci =
           if k = 0 then (ai + 1) mod c.Schema.atomics_per_composite
           else Rng.int rng c.Schema.atomics_per_composite
         in
-        Heap.set_field heap Schema.connection ~addr:conn "from" part;
-        Heap.set_field heap Schema.connection ~addr:conn "to" atomics.(target);
-        Heap.set_field heap Schema.connection ~addr:conn "type" k;
-        Heap.set_field heap Schema.connection ~addr:conn "length" (Rng.int rng 1000);
-        Heap.set_field heap Schema.atomic_part ~addr:part (Schema.conn_to k) conn
+        set conn Schema.Connection.from part;
+        set conn Schema.Connection.to_ atomics.(target);
+        set conn Schema.Connection.type_ k;
+        set conn Schema.Connection.length (Rng.int rng 1000);
+        set part (Schema.Atomic.conn_to k) conn
       done)
     atomics;
   let doc = Heap.alloc heap Schema.doc_size in
   Heap.set_bytes heap doc
     (Bytes.make Schema.doc_size (Char.chr (0x41 + (ci mod 26))));
-  let setc name v = Heap.set_field heap composite_layout ~addr:comp name v in
-  setc "id" ci;
-  setc "date" (Rng.int rng c.Schema.date_range);
-  setc "root_part" atomics.(0);
-  setc "document" doc;
-  Array.iteri (fun ai part -> setc (Schema.part_slot ai) part) atomics;
+  set comp f.Schema.comp_id ci;
+  set comp f.Schema.comp_date (Rng.int rng c.Schema.date_range);
+  set comp f.Schema.root_part atomics.(0);
+  set comp f.Schema.document doc;
+  Array.iteri (fun ai part -> set comp f.Schema.part_slot.(ai) part) atomics;
   comp
 
 let iter_parts db ~comp f =
   let c = Database.config db in
   for ai = 0 to c.Schema.atomics_per_composite - 1 do
-    f (Database.composite_get db ~addr:comp (Schema.part_slot ai))
+    f (Database.part db ~comp ai)
   done
 
 let index_parts db ~comp =

@@ -74,10 +74,9 @@ let decode_params params =
 let run_traversal (mem : Lbc_wal.Command.mem) ~params =
   let config, region, kind = decode_params params in
   let heap_mem =
-    {
-      Lbc_pheap.Heap.read = (fun ~offset ~len -> mem.read ~region ~offset ~len);
-      write = (fun ~offset b -> mem.write ~region ~offset b);
-    }
+    Lbc_pheap.Heap.of_rw
+      ~read:(fun ~offset ~len -> mem.read ~region ~offset ~len)
+      ~write:(fun ~offset b -> mem.write ~region ~offset b)
   in
   let db =
     Database.attach_mem config heap_mem ~size:(Schema.region_size config)

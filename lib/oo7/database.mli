@@ -25,6 +25,11 @@ val attach_node : Schema.config -> Lbc_core.Node.t -> region:int -> t
 
 val config : t -> Schema.config
 val heap : t -> Heap.t
+
+val fields : t -> Schema.fields
+(** The configuration's composite and assembly field offsets, resolved
+    at attach. *)
+
 val root_assembly : t -> int
 val num_composites : t -> int
 
@@ -43,14 +48,26 @@ val remove_composite : t -> int -> unit
 val index : t -> Iavl.t
 (** The part index: atomic parts ordered by their (mutable) build-date
     field, read indirectly through the part — so a date change that keeps
-    a part's ordering position writes no index bytes at all. *)
+    a part's ordering position writes no index bytes at all.  Attached
+    once, with the database. *)
 
 (** {1 Typed field access} *)
 
-val atomic_get : t -> addr:int -> string -> int64
-val atomic_set : t -> addr:int -> string -> int64 -> unit
-val composite_get : t -> addr:int -> string -> int
-val assembly_get : t -> addr:int -> string -> int
+val atomic_get : t -> addr:int -> int -> int64
+(** [atomic_get t ~addr field] reads the atomic part at [addr]; [field] is
+    one of the {!Schema.Atomic} offsets. *)
+
+val atomic_set : t -> addr:int -> int -> int64 -> unit
+
+val root_part : t -> comp:int -> int
+val document : t -> comp:int -> int
+
+val part : t -> comp:int -> int -> int
+(** The i-th atomic part of composite [comp]. *)
+
+val child : t -> asm:int -> int -> int
+(** The i-th child (assembly or, at the base level, composite part) of
+    assembly [asm]. *)
 
 val checksum : t -> int64
 (** Order-independent digest of every atomic part's mutable fields

@@ -1,8 +1,7 @@
 let insert_composites db ~rng ~count =
-  let c = Database.config db in
   List.init count (fun i ->
       let id = Database.num_composites db + i in
-      let comp = Clusters.build_one (Database.heap db) c ~rng ~id in
+      let comp = Clusters.build_one db ~rng ~id in
       ignore (Database.append_composite db comp);
       Clusters.index_parts db ~comp;
       comp)

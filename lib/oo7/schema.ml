@@ -52,8 +52,27 @@ let atomic_part =
     ([ ("id", 8); ("date", 8); ("x", 8); ("y", 8); ("doc_id", 8) ]
     @ List.init max_connections (fun i -> (conn_to i, 8)))
 
+module Atomic = struct
+  let off = Layout.offset atomic_part
+  let id = off "id"
+  let date = off "date"
+  let x = off "x"
+  let y = off "y"
+  let doc_id = off "doc_id"
+  let conns = Array.init max_connections (fun i -> off (conn_to i))
+  let conn_to i = conns.(i)
+end
+
 let connection =
   Layout.make ~pad_to:64 [ ("from", 8); ("to", 8); ("type", 8); ("length", 8) ]
+
+module Connection = struct
+  let off = Layout.offset connection
+  let from = off "from"
+  let to_ = off "to"
+  let type_ = off "type"
+  let length = off "length"
+end
 
 let doc_size = 2000
 
@@ -77,6 +96,33 @@ let assembly c =
   let natural = List.fold_left (fun a (_, s) -> a + s) 0 fields in
   if natural <= 64 then Layout.make ~pad_to:64 fields else Layout.make fields
 
+type fields = {
+  comp_id : int;
+  comp_date : int;
+  root_part : int;
+  document : int;
+  part_slot : int array;
+  asm_kind : int;
+  asm_id : int;
+  child_slot : int array;
+}
+
+let fields c =
+  let comp = Layout.offset (composite_part c) in
+  let asm = Layout.offset (assembly c) in
+  {
+    comp_id = comp "id";
+    comp_date = comp "date";
+    root_part = comp "root_part";
+    document = comp "document";
+    part_slot = Array.init c.atomics_per_composite (fun i -> comp (part_slot i));
+    asm_kind = asm "kind";
+    asm_id = asm "id";
+    child_slot =
+      Array.init (max c.assembly_fanout c.composites_per_base) (fun i ->
+          asm (child_slot i));
+  }
+
 let header =
   Layout.make
     [
@@ -87,6 +133,16 @@ let header =
       ("dir_capacity", 8);
       ("index_slots", Iavl.slots_size);
     ]
+
+module Header = struct
+  let off = Layout.offset header
+  let db_magic = off "db_magic"
+  let root_assembly = off "root_assembly"
+  let n_composites = off "n_composites"
+  let composite_dir = off "composite_dir"
+  let dir_capacity = off "dir_capacity"
+  let index_slots = off "index_slots"
+end
 
 let db_magic = 0x4F4F374442L (* "OO7DB" *)
 

@@ -40,16 +40,35 @@ val composite_visits : config -> int
     [base_assemblies * composites_per_base] (2187 for [small]). *)
 
 val atomic_part : Layout.t
-(** id, date, x, y, doc_id, conn_to[i], conn_type[i] — padded to 200. *)
-
-val conn_to : int -> string
-(** Field name of the pointer to the i-th outgoing connection object. *)
+(** id, date, x, y, doc_id, conn_to[i] — padded to 200. *)
 
 val max_connections : int
+
+(** Byte offsets of the {!atomic_part} fields, resolved once from the
+    layout so that no field access looks a name up. *)
+module Atomic : sig
+  val id : int
+  val date : int
+  val x : int
+  val y : int
+  val doc_id : int
+
+  val conn_to : int -> int
+  (** Offset of the pointer to the i-th outgoing connection object
+      ([0 <= i < max_connections]). *)
+end
 
 val connection : Layout.t
 (** A connection object: from, to, type, length — padded to 64 bytes, as
     in OO7's C++ heap. *)
+
+(** Byte offsets of the {!connection} fields. *)
+module Connection : sig
+  val from : int
+  val to_ : int
+  val type_ : int
+  val length : int
+end
 
 val doc_size : int
 (** Bytes of the per-composite document object (OO7: 2000). *)
@@ -63,16 +82,38 @@ val cluster_size : config -> int
     connection objects and document — > 8 KB in the paper's configuration,
     which is why each composite's updates land on pages of their own. *)
 
-val part_slot : int -> string
-
 val assembly : config -> Layout.t
 (** kind (0 complex / 1 base), id, children/components — padded to 64. *)
 
-val child_slot : int -> string
+(** Byte offsets of the fields of a configuration's {!composite_part} and
+    {!assembly} layouts.  Resolving them walks both layouts, so callers
+    resolve once per configuration ({!Database} keeps them). *)
+type fields = {
+  comp_id : int;
+  comp_date : int;
+  root_part : int;
+  document : int;
+  part_slot : int array;  (** one per atomic part of a composite *)
+  asm_kind : int;
+  asm_id : int;
+  child_slot : int array;  (** one per child of an assembly *)
+}
+
+val fields : config -> fields
 
 val header : Layout.t
 (** Region-resident database header: magic, root assembly, composite
     directory, object counts, index slots. *)
+
+(** Byte offsets of the {!header} fields. *)
+module Header : sig
+  val db_magic : int
+  val root_assembly : int
+  val n_composites : int
+  val composite_dir : int
+  val dir_capacity : int
+  val index_slots : int
+end
 
 val db_magic : int64
 

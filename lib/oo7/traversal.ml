@@ -61,27 +61,28 @@ type state = {
 
 (* One plain 8-byte field overwrite: T2/T12's update. *)
 let update_plain st part =
-  let x = Database.atomic_get st.db ~addr:part "x" in
-  Database.atomic_set st.db ~addr:part "x" (Int64.add x 1L);
+  let x = Database.atomic_get st.db ~addr:part Schema.Atomic.x in
+  Database.atomic_set st.db ~addr:part Schema.Atomic.x (Int64.add x 1L);
   st.field_updates <- st.field_updates + 1
 
 (* Indexed-field update: delete the index entry for the old date, change
    the date, insert the new entry (T3). *)
 let update_indexed st part =
   let idx = Database.index st.db in
-  let date = Database.atomic_get st.db ~addr:part "date" in
+  let date = Database.atomic_get st.db ~addr:part Schema.Atomic.date in
   let date' = Int64.add date 1L in
   ignore
     (Iavl.update idx part
        ~new_key:(date', Int64.of_int part)
-       ~set:(fun () -> Database.atomic_set st.db ~addr:part "date" date'));
+       ~set:(fun () ->
+         Database.atomic_set st.db ~addr:part Schema.Atomic.date date'));
   st.field_updates <- st.field_updates + 1;
   st.index_ops <- st.index_ops + 1
 
 let visit_atomic st part ~update ~times =
   st.atomic_visits <- st.atomic_visits + 1;
   st.read_sum <-
-    Int64.add st.read_sum (Database.atomic_get st.db ~addr:part "x");
+    Int64.add st.read_sum (Database.atomic_get st.db ~addr:part Schema.Atomic.x);
   match update with
   | None -> ()
   | Some f ->
@@ -92,19 +93,15 @@ let visit_atomic st part ~update ~times =
 (* DFS over the atomic-part graph of one composite. *)
 let walk_graph st root ~per_atomic =
   let c = Database.config st.db in
+  let heap = Database.heap st.db in
   let visited = Hashtbl.create 64 in
   let rec go part =
     if not (Hashtbl.mem visited part) then begin
       Hashtbl.add visited part ();
       per_atomic part;
       for k = 0 to c.Schema.connections_per_atomic - 1 do
-        let conn =
-          Int64.to_int (Database.atomic_get st.db ~addr:part (Schema.conn_to k))
-        in
-        go
-          (Heap.get_field
-             (Database.heap st.db)
-             Schema.connection ~addr:conn "to")
+        let conn = Heap.get_int heap (part + Schema.Atomic.conn_to k) in
+        go (Heap.get_int heap (conn + Schema.Connection.to_))
       done
     end
   in
@@ -114,7 +111,7 @@ let times_of_variant = function A -> 1 | B -> 1 | C -> 4
 
 (* T4: scan the composite's document for a character; T5: overwrite the
    start of the document. *)
-let doc_of st comp = Database.composite_get st.db ~addr:comp "document"
+let doc_of st comp = Database.document st.db ~comp
 
 let scan_document st comp =
   let doc = doc_of st comp in
@@ -130,7 +127,7 @@ let update_document st comp =
 
 let visit_composite st comp kind =
   st.composite_visits <- st.composite_visits + 1;
-  let root = Database.composite_get st.db ~addr:comp "root_part" in
+  let root = Database.root_part st.db ~comp in
   match kind with
   | T4 -> scan_document st comp
   | T5 -> update_document st comp
@@ -177,13 +174,11 @@ let run db kind =
   let rec walk_assembly addr level =
     if level = c.Schema.assembly_levels then
       for i = 0 to c.Schema.composites_per_base - 1 do
-        visit_composite st
-          (Database.assembly_get db ~addr (Schema.child_slot i))
-          kind
+        visit_composite st (Database.child db ~asm:addr i) kind
       done
     else
       for i = 0 to c.Schema.assembly_fanout - 1 do
-        walk_assembly (Database.assembly_get db ~addr (Schema.child_slot i)) (level + 1)
+        walk_assembly (Database.child db ~asm:addr i) (level + 1)
       done
   in
   (* T7 processes one pseudo-randomly chosen base assembly; all other
@@ -193,15 +188,11 @@ let run db kind =
       let rec descend addr level salt =
         if level = c.Schema.assembly_levels then
           for i = 0 to c.Schema.composites_per_base - 1 do
-            visit_composite st
-              (Database.assembly_get db ~addr (Schema.child_slot i))
-              kind
+            visit_composite st (Database.child db ~asm:addr i) kind
           done
         else begin
           let pick = salt * 2654435761 mod c.Schema.assembly_fanout in
-          descend
-            (Database.assembly_get db ~addr (Schema.child_slot (abs pick)))
-            (level + 1) (salt + 1)
+          descend (Database.child db ~asm:addr (abs pick)) (level + 1) (salt + 1)
         end
       in
       descend (Database.root_assembly db) 1 c.Schema.seed

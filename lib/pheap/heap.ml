@@ -3,6 +3,8 @@ exception Heap_error of string
 type mem = {
   read : offset:int -> len:int -> Bytes.t;
   write : offset:int -> Bytes.t -> unit;
+  get_u64 : offset:int -> int64;
+  set_u64 : offset:int -> int64 -> unit;
 }
 
 type t = { mem : mem; size : int }
@@ -11,35 +13,51 @@ let magic = 0x50484541 (* "PHEA" *)
 let header_size = 16
 let data_start = header_size
 
-let u64_of_bytes b = Bytes.get_int64_le b 0
-
-let bytes_of_u64 v =
-  let b = Bytes.create 8 in
-  Bytes.set_int64_le b 0 v;
-  b
-
 let format image =
   if Bytes.length image < header_size then raise (Heap_error "image too small");
   Bytes.set_int64_le image 0 (Int64.of_int magic);
   Bytes.set_int64_le image 8 (Int64.of_int data_start)
 
+let of_rw ~read ~write =
+  {
+    read;
+    write;
+    get_u64 = (fun ~offset -> Bytes.get_int64_le (read ~offset ~len:8) 0);
+    set_u64 =
+      (fun ~offset v ->
+        let b = Bytes.create 8 in
+        Bytes.set_int64_le b 0 v;
+        write ~offset b);
+  }
+
 let mem_of_bytes image =
+  (* Written so that [offset + len] cannot overflow past the check. *)
+  let check ~offset ~len what =
+    if offset < 0 || offset > Bytes.length image - len then
+      raise (Heap_error what)
+  in
   {
     read =
       (fun ~offset ~len ->
-        if offset < 0 || offset + len > Bytes.length image then
-          raise (Heap_error "read out of bounds");
+        check ~offset ~len "read out of bounds";
         Bytes.sub image offset len);
     write =
       (fun ~offset b ->
-        if offset < 0 || offset + Bytes.length b > Bytes.length image then
-          raise (Heap_error "write out of bounds");
+        check ~offset ~len:(Bytes.length b) "write out of bounds";
         Bytes.blit b 0 image offset (Bytes.length b));
+    get_u64 =
+      (fun ~offset ->
+        check ~offset ~len:8 "read out of bounds";
+        Bytes.get_int64_le image offset);
+    set_u64 =
+      (fun ~offset v ->
+        check ~offset ~len:8 "write out of bounds";
+        Bytes.set_int64_le image offset v);
   }
 
 let check_header t =
-  let m = u64_of_bytes (t.mem.read ~offset:0 ~len:8) in
-  if Int64.to_int m <> magic then raise (Heap_error "bad heap magic")
+  if Int64.to_int (t.mem.get_u64 ~offset:0) <> magic then
+    raise (Heap_error "bad heap magic")
 
 let attach mem ~size =
   let t = { mem; size } in
@@ -56,8 +74,8 @@ let of_bytes image =
 let mem t = t.mem
 let size t = t.size
 
-let get_u64 t addr = u64_of_bytes (t.mem.read ~offset:addr ~len:8)
-let set_u64 t addr v = t.mem.write ~offset:addr (bytes_of_u64 v)
+let get_u64 t addr = t.mem.get_u64 ~offset:addr
+let set_u64 t addr v = t.mem.set_u64 ~offset:addr v
 
 let get_int t addr =
   let v = get_u64 t addr in
@@ -83,8 +101,3 @@ let alloc t n =
          (Printf.sprintf "alloc: out of space (%d + %d > %d)" ptr n t.size));
   set_int t 8 (ptr + n);
   ptr
-
-let get_field t layout ~addr name = get_int t (addr + Layout.offset layout name)
-
-let set_field t layout ~addr name v =
-  set_int t (addr + Layout.offset layout name) v

@@ -15,7 +15,21 @@ type t
 type mem = {
   read : offset:int -> len:int -> Bytes.t;
   write : offset:int -> Bytes.t -> unit;
+  get_u64 : offset:int -> int64;
+  set_u64 : offset:int -> int64 -> unit;
 }
+(** Byte and word access to a region.  The word ops carry every 8-byte
+    field access without allocating a [Bytes.t]; they must behave exactly
+    as an 8-byte [read] / [write] at the same offset would — the same
+    value, the same bounds errors, and (over a transaction) the same
+    declared [set_range]. *)
+
+val of_rw :
+  read:(offset:int -> len:int -> Bytes.t) ->
+  write:(offset:int -> Bytes.t -> unit) ->
+  mem
+(** A memory whose word ops go through [read] / [write] — for stores that
+    only offer byte access. *)
 
 exception Heap_error of string
 
@@ -53,9 +67,3 @@ val get_int : t -> int -> int
 val set_int : t -> int -> int -> unit
 val get_bytes : t -> int -> len:int -> Bytes.t
 val set_bytes : t -> int -> Bytes.t -> unit
-
-(** {1 Field access through layouts} *)
-
-val get_field : t -> Layout.t -> addr:int -> string -> int
-val set_field : t -> Layout.t -> addr:int -> string -> int -> unit
-(** 8-byte integer fields addressed by layout field name. *)

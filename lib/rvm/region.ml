@@ -16,15 +16,18 @@ type t = {
   mutable warm : bool;
 }
 
+(* Copy the device image straight into [t.mem], which the caller has
+   zeroed: a device shorter than the region leaves a zero tail. *)
+let load_image t =
+  let have = min t.size (Lbc_storage.Dev.size t.db) in
+  if have > 0 then Lbc_storage.Dev.read_into t.db ~off:0 t.mem ~pos:0 ~len:have
+
 let map ~id ~db ~size =
   if size <= 0 then invalid_arg "Region.map: size must be positive";
   let mem = Bytes.make size '\000' in
-  let have = min size (Lbc_storage.Dev.size db) in
-  if have > 0 then begin
-    let init = Lbc_storage.Dev.read db ~off:0 ~len:have in
-    Bytes.blit init 0 mem 0 have
-  end;
-  { id; size; db; mem; dirty_lo = max_int; dirty_hi = 0; warm = true }
+  let t = { id; size; db; mem; dirty_lo = max_int; dirty_hi = 0; warm = true } in
+  load_image t;
+  t
 
 let id t = t.id
 let size t = t.size
@@ -76,11 +79,7 @@ let unsafe_mem t = t.mem
 
 let reload_from_db t =
   Bytes.fill t.mem 0 t.size '\000';
-  let have = min t.size (Lbc_storage.Dev.size t.db) in
-  if have > 0 then begin
-    let image = Lbc_storage.Dev.read t.db ~off:0 ~len:have in
-    Bytes.blit image 0 t.mem 0 have
-  end;
+  load_image t;
   clear_dirty t
 
 let flush_to_db t =

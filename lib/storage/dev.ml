@@ -153,19 +153,28 @@ let file_write f ~off b ~pos ~len =
       done;
       if off + len > f.flen then f.flen <- off + len)
 
-let read t ~off ~len =
+let check_read t ~off ~len =
   if off < 0 || len < 0 || off + len > size t then
     invalid_arg
       (Printf.sprintf "Dev.read %s: [%d,%d) beyond size %d" t.name off
-         (off + len) (size t));
+         (off + len) (size t))
+
+let read_into t ~off dst ~pos ~len =
+  check_read t ~off ~len;
+  if pos < 0 || pos > Bytes.length dst - len then
+    invalid_arg (Printf.sprintf "Dev.read %s: bad destination range" t.name);
   charge t (t.latency.read_base +. (t.latency.read_per_byte *. float_of_int len));
   Lbc_util.Slice.count_copy len;
   match t.backing with
-  | Mem m -> Bytes.sub m.current.data off len
-  | File f ->
-      let b = Bytes.create len in
-      file_read f ~off b ~pos:0 ~len;
-      b
+  | Mem m -> Bytes.blit m.current.data off dst pos len
+  | File f -> file_read f ~off dst ~pos ~len
+
+let read t ~off ~len =
+  (* Check before allocating: [len] may come from an untrusted header. *)
+  check_read t ~off ~len;
+  let b = Bytes.create len in
+  read_into t ~off b ~pos:0 ~len;
+  b
 
 let write t ~off b ~pos ~len =
   if off < 0 || pos < 0 || len < 0 || pos + len > Bytes.length b then

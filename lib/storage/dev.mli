@@ -57,6 +57,11 @@ val read : t -> off:int -> len:int -> Bytes.t
     missing tail reads as zeroes — log scans then degrade to their
     structured torn-tail verdict instead of an untyped failure. *)
 
+val read_into : t -> off:int -> Bytes.t -> pos:int -> len:int -> unit
+(** [read_into t ~off dst ~pos ~len] is {!read} into [dst] at [pos]:
+    the same bounds check, latency charge and copy accounting, without
+    allocating.  Raises [Invalid_argument] also when [dst] is too short. *)
+
 val write : t -> off:int -> Bytes.t -> pos:int -> len:int -> unit
 (** Buffered write at [off]; extends the device if needed. *)
 

@@ -171,13 +171,15 @@ let test_oo7_backends_equivalent () =
             let txn = Backend.Dtxn.begin_ node ~kind:backend in
             Backend.Dtxn.acquire txn Runner.lock;
             let mem =
+              let region = Runner.region in
               {
                 Lbc_pheap.Heap.read =
-                  (fun ~offset ~len ->
-                    Backend.Dtxn.read txn ~region:Runner.region ~offset ~len);
-                write =
-                  (fun ~offset b ->
-                    Backend.Dtxn.write txn ~region:Runner.region ~offset b);
+                  (fun ~offset ~len -> Backend.Dtxn.read txn ~region ~offset ~len);
+                write = (fun ~offset b -> Backend.Dtxn.write txn ~region ~offset b);
+                get_u64 =
+                  (fun ~offset -> Backend.Dtxn.get_u64 txn ~region ~offset);
+                set_u64 =
+                  (fun ~offset v -> Backend.Dtxn.set_u64 txn ~region ~offset v);
               }
             in
             let db =

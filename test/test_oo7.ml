@@ -32,7 +32,7 @@ let test_atomic_clustering () =
   let comp = Database.composite db 0 in
   let parts =
     List.init tiny.Schema.atomics_per_composite (fun i ->
-        Database.composite_get db ~addr:comp (Schema.part_slot i))
+        Database.part db ~comp i)
   in
   let sorted = List.sort compare parts in
   Alcotest.(check (list int)) "contiguous 200-byte objects"
@@ -92,6 +92,68 @@ let test_readonly_traversals_no_mutation () =
   ignore (Traversal.run db Traversal.T1);
   ignore (Traversal.run db Traversal.T6);
   Alcotest.(check bool) "image untouched" true (Bytes.equal before image)
+
+(* A word store through a transaction declares exactly the [set_range]
+   the 8-byte [Txn.write] it replaces declared: running a traversal over
+   the word path and over byte-derived word ops ([Heap.of_rw]) on the
+   same transaction API must give the same RVM call classification and
+   the same committed record, byte for byte. *)
+let detect_profile ~words kind =
+  let cluster = Runner.setup ~nodes:1 tiny in
+  let out = ref None in
+  Cluster.spawn cluster ~node:0 (fun node ->
+      let st = Lbc_rvm.Rvm.stats (Node.rvm node) in
+      let calls () =
+        Lbc_rvm.Rvm.
+          [ st.set_ranges; st.redundant_calls; st.ordered_calls;
+            st.unordered_calls ]
+      in
+      let before = calls () in
+      let txn = Node.Txn.begin_ node in
+      Node.Txn.acquire txn Runner.lock;
+      let region = Runner.region in
+      let db =
+        if words then Database.attach_txn tiny txn ~region
+        else
+          Database.attach_mem tiny
+            (Lbc_pheap.Heap.of_rw
+               ~read:(fun ~offset ~len -> Node.Txn.read txn ~region ~offset ~len)
+               ~write:(fun ~offset b -> Node.Txn.write txn ~region ~offset b))
+            ~size:(Schema.region_size tiny)
+      in
+      ignore (Traversal.run db kind : Traversal.result);
+      let calls = List.map2 ( - ) (calls ()) before in
+      let o = Node.Txn.commit_outcome txn in
+      out := Some (calls, Wire.encode o.Lbc_rvm.Rvm.record));
+  Cluster.run cluster;
+  Option.get !out
+
+let test_word_path_declares_same_ranges () =
+  List.iter
+    (fun kind ->
+      let name = Traversal.name kind in
+      let word_calls, word_wire = detect_profile ~words:true kind in
+      let byte_calls, byte_wire = detect_profile ~words:false kind in
+      Alcotest.(check (list int))
+        (name ^ ": set_ranges, redundant, ordered, unordered")
+        byte_calls word_calls;
+      Alcotest.(check bool) (name ^ ": some updates") true
+        (List.hd word_calls > 0);
+      Alcotest.(check bool) (name ^ ": identical wire record") true
+        (Bytes.equal byte_wire word_wire))
+    [ Traversal.T2 Traversal.B; Traversal.T3 Traversal.B ]
+
+(* Field access allocates no per-field buffers and looks no names up. *)
+let test_t2b_allocation_bounded () =
+  let db = tiny_db () in
+  let before = Gc.minor_words () in
+  let r = Traversal.run db (Traversal.T2 Traversal.B) in
+  let per_visit =
+    (Gc.minor_words () -. before) /. float_of_int r.Traversal.atomic_visits
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f minor words per atomic visit <= 100" per_visit)
+    true (per_visit <= 100.0)
 
 let test_traversal_names () =
   List.iter
@@ -178,7 +240,7 @@ let test_t5_updates_documents () =
   let r = Traversal.run db Traversal.T5 in
   check_int "one doc update per visit" visits r.Traversal.field_updates;
   let comp = Database.composite db 0 in
-  let doc = Database.composite_get db ~addr:comp "document" in
+  let doc = Database.document db ~comp in
   Alcotest.(check string) "document rewritten" "REVISED!"
     (Bytes.to_string (Lbc_pheap.Heap.get_bytes (Database.heap db) doc ~len:8))
 
@@ -205,7 +267,7 @@ let test_queries () =
   let manual frac =
     let hi = Int64.of_int (int_of_float (frac *. float_of_int tiny.Schema.date_range)) in
     Lbc_pheap.Iavl.fold (Database.index db) ~init:0 ~f:(fun acc part ->
-        if Int64.compare (Database.atomic_get db ~addr:part "date") hi <= 0 then
+        if Int64.compare (Database.atomic_get db ~addr:part Schema.Atomic.date) hi <= 0 then
           acc + 1
         else acc)
   in
@@ -331,6 +393,10 @@ let suites =
         Alcotest.test_case "read-only no mutation" `Quick
           test_readonly_traversals_no_mutation;
         Alcotest.test_case "names roundtrip" `Quick test_traversal_names;
+        Alcotest.test_case "word path declares same ranges" `Quick
+          test_word_path_declares_same_ranges;
+        Alcotest.test_case "T2-B allocation bounded" `Quick
+          test_t2b_allocation_bounded;
       ] );
     ( "oo7.coherency",
       [

@@ -70,9 +70,111 @@ let test_heap_field_access () =
   let l = Layout.make [ ("id", 8); ("x", 8) ] in
   let h, _ = fresh_heap () in
   let a = Heap.alloc h (Layout.size l) in
-  Heap.set_field h l ~addr:a "x" 42;
-  check_int "field" 42 (Heap.get_field h l ~addr:a "x");
-  check_int "other field untouched" 0 (Heap.get_field h l ~addr:a "id")
+  Heap.set_int h (a + Layout.offset l "x") 42;
+  check_int "field" 42 (Heap.get_int h (a + Layout.offset l "x"));
+  check_int "other field untouched" 0 (Heap.get_int h (a + Layout.offset l "id"))
+
+(* ------------------------------------------------------------------ *)
+(* Word ops *)
+
+(* The word ops of a raw image must agree with word ops derived from the
+   same image's byte ops: the same values, the same stores, and
+   [Heap_error] at exactly the same offsets. *)
+type word_op =
+  | Get_u64 of int
+  | Set_u64 of int * int64
+  | Get_int of int
+  | Set_int of int * int
+
+let word_image_size = 256
+
+let gen_word_ops =
+  let open QCheck.Gen in
+  (* Offsets concentrate on the bounds: negative, the start, and within
+     7 bytes of the end. *)
+  let off =
+    oneof
+      [
+        int_range (-16) (-1);
+        int_range 0 15;
+        int_range (word_image_size - 16) (word_image_size + 8);
+        int_range 0 (word_image_size - 1);
+      ]
+  in
+  list_size (1 -- 60)
+    (oneof
+       [
+         map (fun o -> Get_u64 o) off;
+         map2 (fun o v -> Set_u64 (o, v)) off ui64;
+         map (fun o -> Get_int o) off;
+         map2 (fun o v -> Set_int (o, v)) off (int_range (-3) 1_000_000);
+       ])
+
+let run_word_op h = function
+  | Get_u64 o -> Heap.get_u64 h o
+  | Set_u64 (o, v) -> Heap.set_u64 h o v; 0L
+  | Get_int o -> Int64.of_int (Heap.get_int h o)
+  | Set_int (o, v) -> Heap.set_int h o v; 0L
+
+let prop_word_ops_match_byte_ops =
+  QCheck.Test.make ~name:"word ops = byte-derived word ops" ~count:300
+    (QCheck.make gen_word_ops) (fun ops ->
+      let direct_image = Bytes.make word_image_size '\000' in
+      let rw_image = Bytes.make word_image_size '\000' in
+      let direct = Heap.of_bytes direct_image in
+      let bytes_mem = Heap.mem (Heap.of_bytes rw_image) in
+      let rw =
+        Heap.attach
+          (Heap.of_rw ~read:bytes_mem.Heap.read ~write:bytes_mem.Heap.write)
+          ~size:word_image_size
+      in
+      let outcome h op =
+        match run_word_op h op with
+        | v -> Some v
+        | exception Heap.Heap_error _ -> None
+      in
+      List.for_all
+        (fun op ->
+          let a = outcome direct op and b = outcome rw op in
+          let oob o = o < 0 || o + 8 > word_image_size in
+          (* [None] for an in-bounds [Get_int] is decided by the value
+             read (a word outside the int range); [a = b] covers it. *)
+          let must_fail =
+            match op with
+            | Get_u64 o | Set_u64 (o, _) -> Some (oob o)
+            | Get_int o -> if oob o then Some true else None
+            | Set_int (o, v) -> Some (oob o || v < 0)
+          in
+          a = b
+          && match must_fail with
+             | Some fails -> Option.is_none a = fails
+             | None -> true)
+        ops
+      && Bytes.equal direct_image rw_image)
+
+let test_set_int_negative_raises () =
+  let h, image = fresh_heap () in
+  let a = Heap.alloc h 8 in
+  let before = Bytes.copy image in
+  Alcotest.(check bool) "negative set_int raises" true
+    (try Heap.set_int h a (-1); false with Heap.Heap_error _ -> true);
+  Alcotest.(check bool) "image untouched" true (Bytes.equal before image)
+
+let test_read_only_database_rejects_stores () =
+  let open Lbc_oo7 in
+  let tiny = Schema.tiny in
+  let cluster = Runner.setup ~nodes:1 tiny in
+  let db =
+    Database.attach_node tiny (Lbc_core.Cluster.node cluster 0)
+      ~region:Runner.region
+  in
+  let part = Database.part db ~comp:(Database.composite db 0) 0 in
+  let x = Database.atomic_get db ~addr:part Schema.Atomic.x in
+  Alcotest.(check bool) "atomic_set raises Bad_database" true
+    (try Database.atomic_set db ~addr:part Schema.Atomic.x 1L; false
+     with Database.Bad_database _ -> true);
+  Alcotest.(check int64) "value unchanged" x
+    (Database.atomic_get db ~addr:part Schema.Atomic.x)
 
 (* ------------------------------------------------------------------ *)
 (* AVL index *)
@@ -358,6 +460,14 @@ let suites =
           test_heap_allocator_is_persistent;
         Alcotest.test_case "rejects garbage" `Quick test_heap_rejects_garbage;
         Alcotest.test_case "field access" `Quick test_heap_field_access;
+      ] );
+    ( "pheap.words",
+      [
+        QCheck_alcotest.to_alcotest prop_word_ops_match_byte_ops;
+        Alcotest.test_case "negative set_int raises" `Quick
+          test_set_int_negative_raises;
+        Alcotest.test_case "read-only database rejects stores" `Quick
+          test_read_only_database_rejects_stores;
       ] );
     ( "pheap.avl",
       [

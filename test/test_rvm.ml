@@ -161,6 +161,49 @@ let test_region_flush () =
   Alcotest.(check string) "flushed image stable" "ABCDEFGH"
     (Bytes.to_string (Dev.read db ~off:0 ~len:8))
 
+(* Mapping (and reloading) copies the device image once, straight into
+   the region: the bytes and the copy accounting must be those of a
+   whole-image [Dev.read] blitted over a zeroed buffer, for a device
+   shorter than the region and for one exactly its size, in memory and
+   on a real file. *)
+let test_region_map_reads_in_place () =
+  let size = 4096 in
+  let check_dev name dev =
+    let have = min size (Dev.size dev) in
+    let expected = Bytes.make size '\000' in
+    Bytes.blit (Dev.read dev ~off:0 ~len:have) 0 expected 0 have;
+    let copied = Lbc_util.Slice.bytes_copied () in
+    let r = Region.map ~id:0 ~db:dev ~size in
+    check_int (name ^ ": map copies the image once") have
+      (Lbc_util.Slice.bytes_copied () - copied);
+    Alcotest.(check bool) (name ^ ": mapped bytes") true
+      (Bytes.equal expected (Region.unsafe_mem r));
+    Region.write r ~offset:(size - 8) (Bytes.of_string "SCRIBBLE");
+    Region.write r ~offset:0 (Bytes.of_string "scribble");
+    let copied = Lbc_util.Slice.bytes_copied () in
+    Region.reload_from_db r;
+    check_int (name ^ ": reload copies the image once") have
+      (Lbc_util.Slice.bytes_copied () - copied);
+    Alcotest.(check bool) (name ^ ": reloaded bytes") true
+      (Bytes.equal expected (Region.unsafe_mem r))
+  in
+  List.iter
+    (fun len ->
+      let image = Bytes.init len (fun i -> Char.chr (1 + (i * 7 mod 255))) in
+      let name kind = Printf.sprintf "%s device of %d bytes" kind len in
+      let mem = Dev.create () in
+      Dev.write mem ~off:0 image ~pos:0 ~len;
+      Dev.sync mem;
+      check_dev (name "memory") mem;
+      let path = Filename.temp_file "lbc-test-region" ".img" in
+      let file = Dev.create_file ~path () in
+      Dev.write file ~off:0 image ~pos:0 ~len;
+      Dev.sync file;
+      check_dev (name "file") file;
+      Dev.close file;
+      Sys.remove path)
+    [ 1000; size ]
+
 (* ------------------------------------------------------------------ *)
 (* Rvm transactions *)
 
@@ -914,6 +957,8 @@ let suites =
         Alcotest.test_case "map loads db" `Quick test_region_map_loads_db;
         Alcotest.test_case "u64 accessors" `Quick test_region_u64;
         Alcotest.test_case "flush to db" `Quick test_region_flush;
+        Alcotest.test_case "map reads in place" `Quick
+          test_region_map_reads_in_place;
       ] );
     ( "rvm.txn",
       [
