@@ -20,7 +20,7 @@ let save_devices dir store =
     (Lbc_storage.Store.names store)
 
 let run traversal config_name nodes protocol lazy_mode costs log_mode_name
-    save trace_out flight_out backend_name debug =
+    save trace_out backend_name debug =
   if debug then begin
     Logs.set_reporter (Logs.format_reporter ());
     Logs.set_level (Some Logs.Debug)
@@ -88,8 +88,6 @@ let run traversal config_name nodes protocol lazy_mode costs log_mode_name
         (if lazy_mode then Lbc_core.Config.Lazy else Lbc_core.Config.Eager);
       disk_logging = not costs;
       log_mode;
-      trace = trace_out <> None;
-      trace_path = trace_out;
     }
   in
   let cluster = Runner.setup ~config ~backend ~nodes schema in
@@ -194,16 +192,10 @@ let run traversal config_name nodes protocol lazy_mode costs log_mode_name
     (Lbc_core.Cluster.total_bytes cluster);
   (match trace_out with
   | Some path ->
-      Lbc_core.Cluster.write_trace cluster;
-      Format.printf "trace written to %s (inspect with lbc-trace, or load in Perfetto)@."
-        path
-  | None -> ());
-  (match flight_out with
-  | Some path ->
       let p = Lbc_core.Cluster.dump_flight ~path cluster in
       Format.printf
-        "flight dump written to %s (decode with lbc-trace, merge check with \
-         lbc-trace --self-check)@."
+        "trace written to %s (analyse with lbc-trace, convert for Perfetto \
+         with lbc-trace --json)@."
         p
   | None -> ());
   (match save with
@@ -250,15 +242,10 @@ let save =
 
 let trace_out =
   Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"PATH"
-         ~doc:"Record the run as a Chrome trace-event file at $(docv) \
-               (analyze with lbc-trace, or load in Perfetto).")
-
-let flight_out =
-  Arg.(value & opt (some string) None & info [ "flight" ] ~docv:"PATH"
-         ~doc:"Dump the always-on flight recorder (every node's ring of \
-               recent events) as a binary LBCF file at $(docv) after the \
-               run (decode with lbc-trace).  Works without --trace: the \
-               flight recorder is on by default.")
+         ~doc:"After the run, write the flight recorder (every node's ring \
+               of spans, instants, flow arrows and counter deltas) as a \
+               binary LBCF dump at $(docv).  Analyse it with lbc-trace; \
+               lbc-trace --json converts it for Perfetto.")
 
 let debug =
   Arg.(value & flag & info [ "debug" ] ~doc:"Trace coherency events.")
@@ -273,7 +260,7 @@ let cmd =
   Cmd.v
     (Cmd.info "oo7-run" ~doc:"Run an OO7 traversal under log-based coherency")
     Term.(const run $ traversal $ config_name $ nodes $ protocol $ lazy_mode
-          $ costs $ log_mode_name $ save $ trace_out $ flight_out
-          $ backend_name $ debug)
+          $ costs $ log_mode_name $ save $ trace_out $ backend_name
+          $ debug)
 
 let () = exit (Cmd.eval cmd)

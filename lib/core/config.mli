@@ -72,29 +72,19 @@ type t = {
       (** virtual µs a fuzzy checkpoint waits after broadcasting
           low-water gossip, so peers' applied tables arrive before the
           retention mark is computed *)
-  trace : bool;
-      (** record spans, flow arrows and latency histograms through
-          [Lbc_obs] while the cluster runs.  Off by default: the
-          instrumented hot paths then pay a single branch per site and
-          allocate nothing. *)
-  trace_path : string option;
-      (** where [Cluster.write_trace] puts the Chrome trace-event JSON
-          when no explicit path is given *)
   flight : bool;
-      (** always-on flight recorder: every node keeps a fixed-size
-          binary ring of recent spans/instants/counter deltas
-          (lock-free, allocation-free, a few ns per event) that is
-          auto-dumped to [flight-<ts>.bin] on strand/crash/oracle
-          failures and on demand via [Cluster.dump_flight].  On by
-          default — it is the only diagnosis available when [trace] is
-          off. *)
+      (** the flight recorder, the cluster's only trace: every node
+          keeps a fixed-size binary ring of its recent spans, instants,
+          flow arrows and counter deltas (lock-free, allocation-free, a
+          few ns per event), and the latency histograms are live.  The
+          rings are dumped as LBCF on demand via [Cluster.dump_flight]
+          and automatically to [flight-<ts>-<seq>.bin] on
+          strand/crash/oracle failures; [lbc-trace] analyses a dump.
+          On by default.  Off, the cluster shares [Obs.disabled]: one
+          branch per instrumented site, no allocation, no metrics. *)
   flight_ring_bytes : int;
       (** bytes per node's flight ring (rounded up to a power of two,
           minimum 256) *)
-  metrics_interval : float;
-      (** > 0: append one JSONL snapshot row of the counter/histogram
-          registry at most once per this many virtual-or-wall µs,
-          piggybacked on event recording; 0 disables snapshots *)
 }
 
 val default : t

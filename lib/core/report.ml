@@ -57,9 +57,7 @@ let pp_cluster ppf cluster =
       (fun i (recorded, dropped, bytes) ->
         Format.fprintf ppf " n%d %d/%d/%dB" i recorded dropped bytes)
       (Lbc_obs.Obs.ring_stats obs);
-    Format.fprintf ppf " (rec/drop/bytes)";
-    let rows = Lbc_obs.Obs.snapshot_rows obs in
-    if rows > 0 then Format.fprintf ppf ", %d snapshot rows" rows
+    Format.fprintf ppf " (rec/drop/bytes)"
   end;
   for n = 0 to Cluster.size cluster - 1 do
     Format.fprintf ppf "@,  %a%s" pp_node

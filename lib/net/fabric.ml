@@ -47,13 +47,7 @@ let count_drop t ~src ~dst =
   t.dropped.(src).(dst) <- t.dropped.(src).(dst) + 1;
   if Obs.enabled t.obs then begin
     Obs.count ~pid:dst t.obs "net_drops" 1;
-    (* Args only feed the opt-in JSON trace — skip building the list
-       (tuple+box allocations) when just the flight ring is live.
-       Same guard on every hot event below. *)
-    Obs.instant t.obs ~name:"net.drop" ~pid:dst ~tid:Obs.lane_net
-      ?args:
-        (if Obs.tracing t.obs then Some [ ("src", Obs.I src) ] else None)
-      ()
+    Obs.instant t.obs ~name:"net.drop" ~pid:dst ~tid:Obs.lane_net ()
   end
 
 let should_drop t ~src ~dst msg =
@@ -62,20 +56,14 @@ let should_drop t ~src ~dst msg =
 
 (* Put one message on the wire: it is dropped at delivery time if the
    destination is down by then (the crash loses in-flight traffic). *)
-let deliver t ~src ~dst ~len msg =
+let deliver t ~src ~dst msg =
   if should_drop t ~src ~dst msg then count_drop t ~src ~dst
   else
     Lbc_sim.Engine.schedule t.engine ~delay:t.params.Params.propagation
       (fun () ->
         if t.down.(dst) then count_drop t ~src ~dst
         else begin
-          if Obs.enabled t.obs then
-            Obs.instant t.obs ~name:"net.deliver" ~pid:dst ~tid:Obs.lane_net
-              ?args:
-                (if Obs.tracing t.obs then
-                   Some [ ("src", Obs.I src); ("bytes", Obs.I len) ]
-                 else None)
-              ();
+          Obs.instant t.obs ~name:"net.deliver" ~pid:dst ~tid:Obs.lane_net ();
           Lbc_sim.Mailbox.send t.channels.(src).(dst) msg
         end)
 
@@ -91,19 +79,14 @@ let send_len t ~src ~dst ~len msg =
       if Obs.enabled t.obs then begin
         Obs.count ~pid:src t.obs "net_msgs" 1;
         Obs.count ~pid:src t.obs "net_bytes" len;
-        Obs.span_begin t.obs ~name:"net.send" ~pid:src ~tid:Obs.lane_net
-          ?args:
-            (if Obs.tracing t.obs then
-               Some [ ("dst", Obs.I dst); ("bytes", Obs.I len) ]
-             else None)
-          ()
+        Obs.span_begin t.obs ~name:"net.send" ~pid:src ~tid:Obs.lane_net ()
       end
       else Obs.null_span
     in
     (* Block the sender for the writev cost, then put the message on the
        wire. *)
     Lbc_sim.Proc.sleep (Params.send_cost t.params len);
-    deliver t ~src ~dst ~len msg;
+    deliver t ~src ~dst msg;
     ignore (Obs.span_end t.obs sp : float)
   end
 
@@ -128,17 +111,12 @@ let broadcast_len t ~src ~dsts ~len msg =
       if Obs.enabled t.obs then begin
         Obs.count ~pid:src t.obs "net_msgs" 1;
         Obs.count ~pid:src t.obs "net_bytes" len;
-        Obs.span_begin t.obs ~name:"net.send" ~pid:src ~tid:Obs.lane_net
-          ?args:
-            (if Obs.tracing t.obs then
-               Some [ ("dsts", Obs.I (List.length dsts)); ("bytes", Obs.I len) ]
-             else None)
-          ()
+        Obs.span_begin t.obs ~name:"net.send" ~pid:src ~tid:Obs.lane_net ()
       end
       else Obs.null_span
     in
     Lbc_sim.Proc.sleep (Params.send_cost t.params len);
-    List.iter (fun dst -> deliver t ~src ~dst ~len msg) dsts;
+    List.iter (fun dst -> deliver t ~src ~dst msg) dsts;
     ignore (Obs.span_end t.obs sp : float)
   end
 

@@ -14,7 +14,7 @@
      | len |  tag  field*  (varints)              |
      +-----+--------------------------------------+
 
-     tag 0 span     : lane, name_id, ts_delta, dur_ns
+     tag 0 span     : lane, name_id, ts_delta, dur_ns, arg
      tag 1 instant  : lane, name_id, ts_delta
      tag 2 count    : name_id, ts_delta, zigzag(delta)
      tag 3 flow tail: lane, ts_delta, flow_id
@@ -50,8 +50,7 @@ let tag_count = 2
 let tag_flow_start = 3
 let tag_flow_end = 4
 
-(* Pipeline lane names, shared with the JSON tracer and the dump
-   renderer. *)
+(* Pipeline lane names, for the dump renderer. *)
 let lane_name = function
   | 0 -> "txn"
   | 1 -> "apply"
@@ -145,12 +144,14 @@ let[@inline] ts_delta t ts_ns =
   t.last_ts <- ts;
   d
 
-let record_span t ~ts_ns ~name ~lane ~dur_ns =
+let record_span t ~ts_ns ~name ~lane ~dur_ns ~arg =
   let id = intern t name in
   let dur = if dur_ns < 0 then 0 else dur_ns in
+  let arg = if arg < 0 then 0 else arg in
   let d = ts_delta t ts_ns in
   let len =
     1 + varint_len lane + varint_len id + varint_len d + varint_len dur
+    + varint_len arg
   in
   evict_for t (1 + len);
   put8 t t.head len;
@@ -159,6 +160,7 @@ let record_span t ~ts_ns ~name ~lane ~dur_ns =
   let p = put_varint t p id in
   let p = put_varint t p d in
   let p = put_varint t p dur in
+  let p = put_varint t p arg in
   t.head <- p;
   t.recorded <- t.recorded + 1
 

@@ -20,8 +20,11 @@ val create : ?cap_bytes:int -> unit -> t
 
 (** {1 Recording (hot path: lock-free, allocation-free)} *)
 
-val record_span : t -> ts_ns:int -> name:string -> lane:int -> dur_ns:int -> unit
-(** Complete span; [ts_ns] is the span's {e end} time. *)
+val record_span :
+  t -> ts_ns:int -> name:string -> lane:int -> dur_ns:int -> arg:int -> unit
+(** Complete span; [ts_ns] is the span's {e end} time.  [arg] is one
+    payload int, clamped at 0 like [dur_ns] (the lock id on
+    [lock.wait] and [interlock], else 0). *)
 
 val record_instant : t -> ts_ns:int -> name:string -> lane:int -> unit
 

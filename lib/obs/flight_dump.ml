@@ -4,7 +4,8 @@
    Layout (all integers LEB128 varints unless noted):
 
      "LBCF"            magic, 4 raw bytes
-     version           1 raw byte (currently 1)
+     version           1 raw byte (currently 2; version 1 spans had no
+                       arg field and are refused)
      dumped_at_ns      platform clock at dump time
      clock             length-prefixed label ("virtual-us" | "wall-us")
      ring_count
@@ -27,7 +28,7 @@ type event = {
   ev_lane : int;
   ev_ts_ns : int; (* absolute; for spans this is the END time *)
   ev_dur_ns : int; (* spans only, else 0 *)
-  ev_arg : int; (* counter delta or flow id, else 0 *)
+  ev_arg : int; (* span arg, counter delta or flow id *)
 }
 
 type ring = {
@@ -49,7 +50,7 @@ type dump = {
 }
 
 let magic = "LBCF"
-let version = 1
+let version = 2
 
 (* ---------------------------------------------------------------- *)
 (* Writing *)
@@ -156,8 +157,9 @@ let decode_body ~ring_id ~names ~last_ts_ns body =
              let name = name_of (varint c) in
              ts := !ts + varint c;
              let dur = varint c in
+             let arg = varint c in
              { ev_ring = ring_id; ev_kind = Span; ev_name = name;
-               ev_lane = lane; ev_ts_ns = !ts; ev_dur_ns = dur; ev_arg = 0 }
+               ev_lane = lane; ev_ts_ns = !ts; ev_dur_ns = dur; ev_arg = arg }
          | 1 ->
              let lane = varint c in
              let name = name_of (varint c) in
@@ -214,7 +216,12 @@ let of_string s =
     match
       let v = u8 c in
       if v <> version then
-        raise (Corrupt (Printf.sprintf "unsupported version %d" v));
+        raise
+          (Corrupt
+             (Printf.sprintf
+                "LBCF version %d is not supported (this decoder reads \
+                 version %d; re-record the dump)"
+                v version));
       let dumped_at_ns = varint c in
       let clock = str c in
       let nrings = varint c in
@@ -309,9 +316,8 @@ let merged d =
   a
 
 (* ---------------------------------------------------------------- *)
-(* Chrome-trace rendering: one process per ring, lanes as threads —
-   the same shape Obs.render emits, so Perfetto and the explorer both
-   understand a merged flight dump. *)
+(* Chrome-trace rendering for Perfetto: one process per ring, lanes as
+   threads. *)
 
 let render_chrome d =
   let buf = Buffer.create 4096 in

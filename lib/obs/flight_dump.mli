@@ -1,6 +1,7 @@
 (** LBCF — flight recorder dump format: writer, decoder, N-ring
     merge, structural self-check, and a Chrome-trace renderer so a
-    binary dump can feed Perfetto / the [lbc-trace] explorer. *)
+    binary dump can feed Perfetto.  {!Explorer} analyses the decoded
+    events. *)
 
 type kind = Span | Instant | Count | Flow_start | Flow_end
 
@@ -11,7 +12,8 @@ type event = {
   ev_lane : int;
   ev_ts_ns : int; (* absolute; for spans this is the END time *)
   ev_dur_ns : int; (* spans only, else 0 *)
-  ev_arg : int; (* counter delta or flow id, else 0 *)
+  ev_arg : int; (* span arg (lock id on lock.wait/interlock), counter
+                  delta or flow id *)
 }
 
 type ring = {

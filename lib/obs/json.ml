@@ -1,17 +1,5 @@
-(* Minimal JSON: just enough to write and read Chrome trace-event files
-   without an external dependency.  The writer side lives in Obs (which
-   renders straight into a buffer); this module provides string escaping
-   for it and a small recursive-descent parser for the trace explorer. *)
-
-type t =
-  | Null
-  | Bool of bool
-  | Num of float
-  | Str of string
-  | Arr of t list
-  | Obj of (string * t) list
-
-exception Parse_error of string
+(* JSON string escaping for {!Flight_dump.render_chrome}, which writes
+   Chrome trace-event files without an external dependency. *)
 
 let escape s =
   let b = Buffer.create (String.length s + 2) in
@@ -28,189 +16,3 @@ let escape s =
       | c -> Buffer.add_char b c)
     s;
   Buffer.contents b
-
-(* --------------------------------------------------------------- *)
-(* Parser *)
-
-type state = { src : string; mutable pos : int }
-
-let fail st msg =
-  raise (Parse_error (Printf.sprintf "%s at byte %d" msg st.pos))
-
-let peek st = if st.pos < String.length st.src then Some st.src.[st.pos] else None
-
-let skip_ws st =
-  let n = String.length st.src in
-  while
-    st.pos < n
-    && match st.src.[st.pos] with ' ' | '\t' | '\n' | '\r' -> true | _ -> false
-  do
-    st.pos <- st.pos + 1
-  done
-
-let expect st c =
-  match peek st with
-  | Some c' when c' = c -> st.pos <- st.pos + 1
-  | _ -> fail st (Printf.sprintf "expected %C" c)
-
-let literal st word value =
-  let n = String.length word in
-  if
-    st.pos + n <= String.length st.src
-    && String.sub st.src st.pos n = word
-  then begin
-    st.pos <- st.pos + n;
-    value
-  end
-  else fail st (Printf.sprintf "expected %s" word)
-
-let parse_string st =
-  expect st '"';
-  let b = Buffer.create 16 in
-  let rec go () =
-    match peek st with
-    | None -> fail st "unterminated string"
-    | Some '"' -> st.pos <- st.pos + 1
-    | Some '\\' -> (
-        st.pos <- st.pos + 1;
-        match peek st with
-        | None -> fail st "unterminated escape"
-        | Some c ->
-            st.pos <- st.pos + 1;
-            (match c with
-            | '"' -> Buffer.add_char b '"'
-            | '\\' -> Buffer.add_char b '\\'
-            | '/' -> Buffer.add_char b '/'
-            | 'b' -> Buffer.add_char b '\b'
-            | 'f' -> Buffer.add_char b '\012'
-            | 'n' -> Buffer.add_char b '\n'
-            | 'r' -> Buffer.add_char b '\r'
-            | 't' -> Buffer.add_char b '\t'
-            | 'u' ->
-                if st.pos + 4 > String.length st.src then
-                  fail st "short \\u escape";
-                let hex = String.sub st.src st.pos 4 in
-                st.pos <- st.pos + 4;
-                let code =
-                  try int_of_string ("0x" ^ hex)
-                  with Failure _ -> fail st "bad \\u escape"
-                in
-                (* Traces only carry ASCII; encode the BMP scalar as
-                   UTF-8 so round-trips stay lossless anyway. *)
-                if code < 0x80 then Buffer.add_char b (Char.chr code)
-                else if code < 0x800 then begin
-                  Buffer.add_char b (Char.chr (0xC0 lor (code lsr 6)));
-                  Buffer.add_char b (Char.chr (0x80 lor (code land 0x3F)))
-                end
-                else begin
-                  Buffer.add_char b (Char.chr (0xE0 lor (code lsr 12)));
-                  Buffer.add_char b
-                    (Char.chr (0x80 lor ((code lsr 6) land 0x3F)));
-                  Buffer.add_char b (Char.chr (0x80 lor (code land 0x3F)))
-                end
-            | c -> fail st (Printf.sprintf "bad escape \\%C" c));
-            go ())
-    | Some c ->
-        st.pos <- st.pos + 1;
-        Buffer.add_char b c;
-        go ()
-  in
-  go ();
-  Buffer.contents b
-
-let parse_number st =
-  let start = st.pos in
-  let n = String.length st.src in
-  let numchar c =
-    match c with
-    | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-    | _ -> false
-  in
-  while st.pos < n && numchar st.src.[st.pos] do
-    st.pos <- st.pos + 1
-  done;
-  if st.pos = start then fail st "expected a number";
-  match float_of_string_opt (String.sub st.src start (st.pos - start)) with
-  | Some f -> f
-  | None -> fail st "malformed number"
-
-let rec parse_value st =
-  skip_ws st;
-  match peek st with
-  | None -> fail st "unexpected end of input"
-  | Some '{' ->
-      st.pos <- st.pos + 1;
-      skip_ws st;
-      if peek st = Some '}' then begin
-        st.pos <- st.pos + 1;
-        Obj []
-      end
-      else begin
-        let rec members acc =
-          skip_ws st;
-          let key = parse_string st in
-          skip_ws st;
-          expect st ':';
-          let v = parse_value st in
-          skip_ws st;
-          match peek st with
-          | Some ',' ->
-              st.pos <- st.pos + 1;
-              members ((key, v) :: acc)
-          | Some '}' ->
-              st.pos <- st.pos + 1;
-              List.rev ((key, v) :: acc)
-          | _ -> fail st "expected ',' or '}'"
-        in
-        Obj (members [])
-      end
-  | Some '[' ->
-      st.pos <- st.pos + 1;
-      skip_ws st;
-      if peek st = Some ']' then begin
-        st.pos <- st.pos + 1;
-        Arr []
-      end
-      else begin
-        let rec elements acc =
-          let v = parse_value st in
-          skip_ws st;
-          match peek st with
-          | Some ',' ->
-              st.pos <- st.pos + 1;
-              elements (v :: acc)
-          | Some ']' ->
-              st.pos <- st.pos + 1;
-              List.rev (v :: acc)
-          | _ -> fail st "expected ',' or ']'"
-        in
-        Arr (elements [])
-      end
-  | Some '"' -> Str (parse_string st)
-  | Some 't' -> literal st "true" (Bool true)
-  | Some 'f' -> literal st "false" (Bool false)
-  | Some 'n' -> literal st "null" Null
-  | Some _ -> Num (parse_number st)
-
-let parse src =
-  let st = { src; pos = 0 } in
-  match parse_value st with
-  | v ->
-      skip_ws st;
-      if st.pos <> String.length src then Error "trailing bytes after value"
-      else Ok v
-  | exception Parse_error why -> Error why
-
-(* --------------------------------------------------------------- *)
-(* Accessors *)
-
-let member key = function
-  | Obj fields -> List.assoc_opt key fields
-  | _ -> None
-
-let to_num = function Num f -> Some f | _ -> None
-let to_str = function Str s -> Some s | _ -> None
-let to_arr = function Arr l -> Some l | _ -> None
-
-let num_member key j = Option.bind (member key j) to_num
-let str_member key j = Option.bind (member key j) to_str

@@ -1,12 +1,14 @@
-(* Tests for the tracing/metrics layer (lib/obs): histogram math, the
-   hand-rolled JSON codec, span/flow emission and the explorer's
-   self-check, a fully traced cluster run cross-checked against the
-   Report counters, and golden-style renderings of Report.pp_cluster. *)
+(* Tests for the tracing/metrics layer (lib/obs): histogram math, JSON
+   escaping and the test-side parser, span/flow recording and the
+   explorer's self-check over flight rings, a traced cluster run
+   cross-checked against the Report counters, and golden-style
+   renderings of Report.pp_cluster. *)
 
 open Lbc_core
 module Obs = Lbc_obs.Obs
-module Json = Lbc_obs.Json
 module Explorer = Lbc_obs.Explorer
+module Flight = Lbc_obs.Flight
+module FD = Lbc_obs.Flight_dump
 module H = Obs.Histogram
 
 let contains s sub =
@@ -14,15 +16,34 @@ let contains s sub =
   let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
   go 0
 
-(* Parse a trace document into explorer events, failing the test on any
-   JSON or structural error. *)
-let events_of_doc doc =
-  match Json.parse doc with
-  | Error e -> Alcotest.failf "trace not parseable: %s" e
-  | Ok j -> (
-      match Explorer.events_of_json j with
-      | Error e -> Alcotest.failf "not a trace document: %s" e
-      | Ok events -> events)
+(* Encode rings (ring [i] is node [i]) to LBCF and decode them back,
+   failing the test on a decode error. *)
+let dump_of_rings rings =
+  let s =
+    FD.encode ~clock:"virtual-us" ~dumped_at_ns:0
+      (Array.mapi (fun i r -> (i, r)) rings)
+  in
+  match FD.of_string s with
+  | Error e -> Alcotest.failf "LBCF decode failed: %s" e
+  | Ok d -> d
+
+(* Dump a cluster's rings through [Cluster.dump_flight] and read the
+   file back. *)
+let dump_cluster c =
+  let path = Filename.temp_file "lbc-flight" ".bin" in
+  let (_ : string) = Cluster.dump_flight ~path c in
+  let d = FD.read path in
+  Sys.remove path;
+  match d with
+  | Error e -> Alcotest.failf "flight dump unreadable: %s" e
+  | Ok d -> d
+
+let check_no_drops d =
+  Array.iter
+    (fun r ->
+      if r.FD.r_dropped <> 0 then
+        Alcotest.failf "ring %d dropped %d events" r.FD.r_id r.FD.r_dropped)
+    d.FD.d_rings
 
 (* ----------------------------------------------------------------- *)
 (* Histograms *)
@@ -100,7 +121,7 @@ let test_json_rejects () =
 let test_json_escape () =
   Alcotest.(check string)
     "escape specials" {|a\"b\n\t\\|}
-    (Json.escape "a\"b\n\t\\")
+    (Lbc_obs.Json.escape "a\"b\n\t\\")
 
 (* ----------------------------------------------------------------- *)
 (* Disabled sink: every entry point is a no-op *)
@@ -145,13 +166,43 @@ let test_spans_flows_render () =
   Alcotest.(check bool)
     "unknown flow id" true
     (Obs.flow_end o ~id:9999 ~pid:1 ~tid:Obs.lane_apply = None);
-  let events = events_of_doc (Obs.render o) in
-  Alcotest.(check (list string))
-    "self-check clean" [] (Explorer.self_check events);
-  let f = Explorer.flow_summary events in
+  let d = dump_of_rings (Obs.rings o) in
+  check_no_drops d;
+  Alcotest.(check (list string)) "self-check clean" [] (Explorer.self_check d);
+  let f = Explorer.flow_summary d in
   Alcotest.(check int) "flow starts" 1 f.Explorer.fl_starts;
   Alcotest.(check int) "flow ends" 1 f.Explorer.fl_ends;
-  Alcotest.(check int) "none unresolved" 0 f.Explorer.fl_unresolved
+  Alcotest.(check int) "none unresolved" 0 f.Explorer.fl_unresolved;
+  let stages = Explorer.stage_breakdown d in
+  Alcotest.(check (list (pair string int)))
+    "span durations in ns"
+    [ ("commit", 10_000); ("apply", 5_000) ]
+    (List.map (fun s -> (s.Explorer.st_name, s.Explorer.st_total_ns)) stages)
+
+(* A span's start is rebuilt as end - dur.  With fractional-µs stamps,
+   truncating the end and the float duration separately put the start
+   1 ns after the flow head stamped at the span's begin. *)
+let test_span_start_exact () =
+  let clock = ref 0.0 in
+  let o = Obs.create ~now:(fun () -> !clock) ~nodes:2 () in
+  let id = Obs.flow_id ~lock:1 ~seqno:1 in
+  clock := 5.0;
+  Obs.flow_start o ~id ~pid:0 ~tid:Obs.lane_txn;
+  clock := 10.0003;
+  let apply = Obs.span_begin o ~name:"apply" ~pid:1 ~tid:Obs.lane_apply () in
+  Alcotest.(check bool)
+    "head recorded" true
+    (Obs.flow_end o ~id ~pid:1 ~tid:Obs.lane_apply <> None);
+  clock := 20.0001;
+  ignore (Obs.span_end o apply : float);
+  let d = dump_of_rings (Obs.rings o) in
+  let evs = d.FD.d_rings.(1).FD.r_events in
+  let head = evs.(0) and span = evs.(1) in
+  Alcotest.(check bool) "flow head" true (head.FD.ev_kind = FD.Flow_end);
+  Alcotest.(check int)
+    "span starts at the head's stamp" head.FD.ev_ts_ns
+    (Explorer.span_start span);
+  Alcotest.(check (list string)) "self-check clean" [] (Explorer.self_check d)
 
 let test_marks () =
   let clock = ref 100.0 in
@@ -163,28 +214,52 @@ let test_marks () =
     (Obs.take_mark o "fetch:0:7" = Some 40.0);
   Alcotest.(check bool) "consumed" true (Obs.take_mark o "fetch:0:7" = None)
 
-(* The self-check must reject traces that violate the contract. *)
+(* The self-check must report dumps that violate the contract, recorded
+   straight into rings (ring 0 commits, ring 1 applies; times in ns). *)
 let test_self_check_catches () =
-  let check_bad what doc =
-    Alcotest.(check bool)
-      what true
-      (Explorer.self_check (events_of_doc doc) <> [])
+  let check what ~expect build =
+    let r0 = Flight.create () and r1 = Flight.create () in
+    build r0 r1;
+    let problems = Explorer.self_check (dump_of_rings [| r0; r1 |]) in
+    if not (List.exists (fun p -> contains p expect) problems) then
+      Alcotest.failf "%s: no %S among [%s]" what expect
+        (String.concat "; " problems)
   in
-  check_bad "flow end without start"
-    {|{"traceEvents": [
-        {"name":"apply","cat":"pipeline","ph":"X","pid":1,"tid":1,"ts":5.0,"dur":10.0},
-        {"name":"write","cat":"flow","ph":"f","bp":"e","id":7,"pid":1,"tid":1,"ts":6.0}]}|};
-  check_bad "negative duration"
-    {|{"traceEvents": [
-        {"name":"txn","cat":"pipeline","ph":"X","pid":0,"tid":0,"ts":5.0,"dur":-1.0}]}|};
-  check_bad "time runs backwards"
-    {|{"traceEvents": [
-        {"name":"a","cat":"pipeline","ph":"i","s":"t","pid":0,"tid":0,"ts":50.0},
-        {"name":"b","cat":"pipeline","ph":"i","s":"t","pid":0,"tid":0,"ts":10.0}]}|};
-  check_bad "flow end outside any apply span"
-    {|{"traceEvents": [
-        {"name":"write","cat":"flow","ph":"s","id":7,"pid":0,"tid":0,"ts":1.0},
-        {"name":"write","cat":"flow","ph":"f","bp":"e","id":7,"pid":1,"tid":1,"ts":6.0}]}|}
+  let apply r1 ~from ~until =
+    Flight.record_span r1 ~ts_ns:until ~name:"apply" ~lane:Obs.lane_apply
+      ~dur_ns:(until - from) ~arg:0
+  in
+  let head r1 ts = Flight.record_flow r1 ~ts_ns:ts ~head:true ~id:7 ~lane:1 in
+  let tail r0 ts = Flight.record_flow r0 ~ts_ns:ts ~head:false ~id:7 ~lane:0 in
+  check "flow end without start" ~expect:"no start" (fun _ r1 ->
+      head r1 6_000;
+      apply r1 ~from:5_000 ~until:15_000);
+  check "start after its end" ~expect:"after its end" (fun r0 r1 ->
+      tail r0 9_000;
+      head r1 6_000;
+      apply r1 ~from:5_000 ~until:15_000);
+  check "flow end outside any apply span" ~expect:"outside any apply span"
+    (fun r0 r1 ->
+      tail r0 1_000;
+      head r1 6_000);
+  (* Ring 0 wraps and evicts the start; ring 1 drops nothing.  The end
+     lies before the window every ring still covers, so it is not
+     reported. *)
+  let r0 = Flight.create ~cap_bytes:256 () and r1 = Flight.create () in
+  tail r0 1_000;
+  head r1 2_000;
+  apply r1 ~from:2_000 ~until:3_000;
+  for i = 1 to 200 do
+    Flight.record_instant r0 ~ts_ns:(3_000 + i) ~name:"tick" ~lane:0
+  done;
+  let d = dump_of_rings [| r0; r1 |] in
+  Alcotest.(check bool) "start evicted" true
+    (Array.for_all
+       (fun ev -> ev.FD.ev_kind <> FD.Flow_start)
+       d.FD.d_rings.(0).FD.r_events);
+  Alcotest.(check (list string)) "wrapped ring clean" [] (Explorer.self_check d);
+  Alcotest.(check int) "none unresolved" 0
+    (Explorer.flow_summary d).Explorer.fl_unresolved
 
 (* ----------------------------------------------------------------- *)
 (* A traced cluster run: the trace passes its own self-check and its
@@ -218,33 +293,33 @@ let total_commits c nodes =
   !sum
 
 let test_traced_cluster_run () =
-  let config = { Config.default with Config.trace = true } in
   let nodes = 3 in
-  let c = mk_cluster config nodes in
+  let c = mk_cluster Config.default nodes in
   script_writer c ~node:0 ~lock:0 ~commits:4;
   script_writer c ~node:1 ~lock:1 ~commits:3;
   script_writer c ~node:2 ~lock:2 ~commits:2;
   Cluster.run c;
   let o = Cluster.obs c in
   Alcotest.(check bool) "tracing on" true (Obs.enabled o);
-  let events = events_of_doc (Obs.render o) in
+  let d = dump_cluster c in
+  check_no_drops d;
   Alcotest.(check (list string))
-    "trace self-check clean" [] (Explorer.self_check events);
+    "trace self-check clean" [] (Explorer.self_check d);
   (* Every committed write's flow arrow resolves into an apply span
      on every sharing peer: 9 commits broadcast to 2 peers each. *)
-  let f = Explorer.flow_summary events in
+  let f = Explorer.flow_summary d in
   Alcotest.(check int) "flow starts" 9 f.Explorer.fl_starts;
   Alcotest.(check int) "flow ends" 18 f.Explorer.fl_ends;
   Alcotest.(check int) "none unresolved" 0 f.Explorer.fl_unresolved;
   (* The explorer sees the pipeline stages. *)
-  let stages = Explorer.stage_breakdown events in
+  let stages = Explorer.stage_breakdown d in
   let stage n = List.exists (fun s -> s.Explorer.st_name = n) stages in
   Alcotest.(check bool) "commit stage" true (stage "commit");
   Alcotest.(check bool) "apply stage" true (stage "apply");
   Alcotest.(check bool) "net.send stage" true (stage "net.send");
   Alcotest.(check bool)
     "critical path found" true
-    (Explorer.critical_path events <> None);
+    (Explorer.critical_path d <> None);
   (* Metrics agree with the Report counters. *)
   let commits = total_commits c nodes in
   Alcotest.(check int) "nine commits" 9 commits;
@@ -262,16 +337,14 @@ let test_traced_cluster_run () =
     (Cluster.total_messages c)
     (Obs.counter o "net_msgs")
 
-(* With tracing off (the default), the cluster still carries the
-   always-on flight sink: no JSON buffering, but rings and the metric
-   registry stay live. *)
+(* The default cluster carries the flight sink: rings and the metric
+   registry are live. *)
 let test_untraced_cluster_keeps_flight () =
   let c = mk_cluster Config.default 2 in
   script_writer c ~node:0 ~lock:0 ~commits:2;
   Cluster.run c;
   let o = Cluster.obs c in
   Alcotest.(check bool) "sink live" true (Obs.enabled o);
-  Alcotest.(check bool) "json tracing off" false (Obs.tracing o);
   Alcotest.(check bool) "flight rings on" true (Obs.flight_on o);
   (* The registry feeds Report and the wall-clock bench percentiles. *)
   Alcotest.(check int)
@@ -308,12 +381,38 @@ let test_flightless_cluster_is_silent () =
     | (_ : string) -> false
     | exception Invalid_argument _ -> true)
 
+(* Under lazy propagation a receiver obtains records by fetch, which
+   has no flow start: the dump must not hold heads without one. *)
+let test_lazy_flows_resolve () =
+  let config = { Config.default with Config.propagation = Config.Lazy } in
+  let nodes = 3 in
+  let c = mk_cluster config nodes in
+  script_writer c ~node:0 ~lock:0 ~commits:2;
+  for node = 1 to nodes - 1 do
+    Cluster.spawn c ~node (fun nd ->
+        Lbc_sim.Proc.sleep (100.0 *. float_of_int node);
+        let txn = Node.Txn.begin_ nd in
+        Node.Txn.acquire txn 0;
+        Node.Txn.set_u64 txn ~region:0 ~offset:0 (Int64.of_int node);
+        Node.Txn.commit txn)
+  done;
+  Cluster.run c;
+  let fetches =
+    List.init nodes (fun n -> Cluster.node c n)
+    |> List.fold_left
+         (fun acc n -> acc + (Node.stats n).Node.records_fetched)
+         0
+  in
+  Alcotest.(check bool) "records were fetched" true (fetches > 0);
+  let d = dump_cluster c in
+  check_no_drops d;
+  Alcotest.(check (list string)) "self-check clean" [] (Explorer.self_check d);
+  Alcotest.(check int) "none unresolved" 0
+    (Explorer.flow_summary d).Explorer.fl_unresolved
+
 (* ----------------------------------------------------------------- *)
 (* Flight recorder: ring wrap/drop properties, LBCF codec round-trip,
    and a cluster dump decoded back clean. *)
-
-module Flight = Lbc_obs.Flight
-module FD = Lbc_obs.Flight_dump
 
 (* A replayable random event stream: kind, interned-name index, lane,
    timestamp increment, payload. *)
@@ -355,7 +454,7 @@ let record_ops r ops =
       (match op.op_kind with
       | 0 ->
           Flight.record_span r ~ts_ns:!ts ~name ~lane:op.op_lane
-            ~dur_ns:op.op_arg
+            ~dur_ns:op.op_arg ~arg:(op.op_arg / 7)
       | 1 -> Flight.record_instant r ~ts_ns:!ts ~name ~lane:op.op_lane
       | 2 ->
           Flight.record_count r ~ts_ns:!ts ~name ~delta:(op.op_arg - 50_000)
@@ -404,7 +503,8 @@ let qcheck_ring_roundtrip =
           (fun op ts ->
             match op.op_kind with
             | 0 ->
-                (FD.Span, names_pool.(op.op_name), op.op_lane, ts, op.op_arg, 0)
+                ( FD.Span, names_pool.(op.op_name), op.op_lane, ts, op.op_arg,
+                  op.op_arg / 7 )
             | 1 -> (FD.Instant, names_pool.(op.op_name), op.op_lane, ts, 0, 0)
             | 2 ->
                 (FD.Count, names_pool.(op.op_name), 0, ts, 0, op.op_arg - 50_000)
@@ -460,7 +560,8 @@ let test_flight_monotone_clamp () =
   in
   Alcotest.(check (list int)) "clamped" [ 100; 100; 120 ] ts
 
-(* A garbage file and a truncated dump both fail loudly. *)
+(* A garbage file, a version-1 dump and a truncated dump all fail
+   loudly. *)
 let test_flight_decode_rejects () =
   (match FD.of_string "not a flight dump" with
   | Error _ -> ()
@@ -468,6 +569,12 @@ let test_flight_decode_rejects () =
   let r = Flight.create () in
   Flight.record_instant r ~ts_ns:10 ~name:"x" ~lane:0;
   let s = FD.encode ~clock:"virtual-us" ~dumped_at_ns:10 [| (0, r) |] in
+  (* Version 1 spans had no arg field, so its bodies would misdecode. *)
+  (match FD.of_string ("LBCF\001" ^ String.sub s 5 (String.length s - 5)) with
+  | Error e ->
+      if not (contains e "version 1") then
+        Alcotest.failf "version-1 error does not say so: %s" e
+  | Ok _ -> Alcotest.fail "version-1 dump accepted");
   match FD.of_string (String.sub s 0 (String.length s - 3)) with
   | Error _ -> ()
   | Ok d ->
@@ -515,42 +622,11 @@ let test_cluster_flight_dump () =
       | Ok _ -> ());
   Sys.remove path
 
-(* Periodic metrics snapshots: rows accumulate on the event hot path at
-   the configured virtual interval, and each row is a JSON object. *)
-let test_metrics_snapshots () =
-  let clock = ref 0.0 in
-  let o =
-    Obs.create ~json:false ~now:(fun () -> !clock) ~nodes:1
-      ~snapshot_interval_us:100.0 ()
-  in
-  for i = 1 to 50 do
-    clock := float_of_int i *. 25.0;
-    Obs.count o ~pid:0 "ticks" 1;
-    Obs.observe o "tick_us" 25.0;
-    (* Snapshots piggyback on the event hot path — no timers. *)
-    Obs.instant o ~name:"tick" ~pid:0 ~tid:0 ()
-  done;
-  let rows = Obs.snapshot_rows o in
-  Alcotest.(check bool)
-    (Printf.sprintf "rows at 100us intervals (got %d)" rows)
-    true
-    (rows >= 8 && rows <= 13);
-  String.split_on_char '\n' (Obs.snapshots o)
-  |> List.filter (fun l -> l <> "")
-  |> List.iter (fun line ->
-         match Json.parse line with
-         | Error e -> Alcotest.failf "snapshot row not JSON (%s): %s" e line
-         | Ok j ->
-             if Json.member "ts_us" j = None then
-               Alcotest.failf "snapshot row without ts_us: %s" line)
-
 (* ----------------------------------------------------------------- *)
 (* Golden-style rendering of Report.pp_cluster *)
 
 let test_report_golden () =
-  let config =
-    { Config.default with Config.group_commit = true; Config.trace = true }
-  in
+  let config = { Config.default with Config.group_commit = true } in
   let nodes = 3 in
   let c = mk_cluster config nodes in
   script_writer c ~node:0 ~lock:0 ~commits:2;
@@ -611,6 +687,8 @@ let suites =
           test_disabled_noop;
         Alcotest.test_case "spans and flows render" `Quick
           test_spans_flows_render;
+        Alcotest.test_case "span start rebuilt exactly" `Quick
+          test_span_start_exact;
         Alcotest.test_case "marks" `Quick test_marks;
         Alcotest.test_case "self-check catches bad traces" `Quick
           test_self_check_catches;
@@ -627,7 +705,6 @@ let suites =
           test_flight_decode_rejects;
         Alcotest.test_case "cluster dump decodes clean" `Quick
           test_cluster_flight_dump;
-        Alcotest.test_case "metrics snapshots" `Quick test_metrics_snapshots;
       ] );
     ( "obs-cluster",
       [
@@ -635,6 +712,8 @@ let suites =
           `Quick test_traced_cluster_run;
         Alcotest.test_case "untraced run keeps the flight sink" `Quick
           test_untraced_cluster_keeps_flight;
+        Alcotest.test_case "lazy run: fetched records add no flow heads"
+          `Quick test_lazy_flows_resolve;
         Alcotest.test_case "flightless run collects nothing" `Quick
           test_flightless_cluster_is_silent;
         Alcotest.test_case "report golden rendering" `Quick
